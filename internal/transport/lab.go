@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -18,15 +17,17 @@ import (
 //
 // It deliberately mirrors internal/live's stream layout (medium =
 // root.Split(0), host i = root.Split(1+i)) but replaces goroutines and
-// wall clocks with an event heap keyed by (time, insertion order).
+// wall clocks with an event queue keyed by (time, insertion order).
 type Lab struct {
 	cfg   LabConfig
 	hosts []*labHost
 	// medium draws per-frame latency jitter and loss, in event order.
 	medium *xrand.RNG
-	events eventHeap
-	seq    uint64
+	events eventQueue
 	now    time.Duration
+	// bufs holds frame copies whose arrival has been handled, for
+	// transmit to reuse.
+	bufs [][]byte
 }
 
 // LabConfig configures a Lab.
@@ -55,13 +56,10 @@ type LabConfig struct {
 }
 
 type labEvent struct {
-	at   time.Duration
-	seq  uint64
 	kind uint8
 	host int
 	from int
 	tid  node.TimerID
-	tag  node.Tag
 	pkt  []byte
 	fn   func(node.Context)
 }
@@ -76,24 +74,91 @@ const (
 	evTick
 )
 
-type eventHeap []*labEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// eventQueue is a min-heap of events keyed by (time, insertion order).
+// The heap holds small keys by value; the events themselves sit in a
+// slab whose slots are reused once popped, so a steady-state push
+// allocates nothing.
+type eventQueue struct {
+	keys []eventKey
+	slab []labEvent
+	free []int32 // popped slab slots
+	seq  uint64
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*labEvent)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+type eventKey struct {
+	at   time.Duration
+	seq  uint64
+	slot int32
+}
+
+func (k eventKey) less(o eventKey) bool {
+	if k.at != o.at {
+		return k.at < o.at
+	}
+	return k.seq < o.seq
+}
+
+func (q *eventQueue) len() int { return len(q.keys) }
+
+// next returns the time of the earliest event; the queue must not be
+// empty.
+func (q *eventQueue) next() time.Duration { return q.keys[0].at }
+
+func (q *eventQueue) push(at time.Duration, ev labEvent) {
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[slot] = ev
+	} else {
+		slot = int32(len(q.slab))
+		q.slab = append(q.slab, ev)
+	}
+	k := eventKey{at: at, seq: q.seq, slot: slot}
+	q.seq++
+	// Sift up.
+	i := len(q.keys)
+	q.keys = append(q.keys, k)
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !k.less(q.keys[parent]) {
+			break
+		}
+		q.keys[i] = q.keys[parent]
+		i = parent
+	}
+	q.keys[i] = k
+}
+
+// pop removes the earliest event, returning its time and the event.
+func (q *eventQueue) pop() (time.Duration, labEvent) {
+	top := q.keys[0]
+	n := len(q.keys) - 1
+	last := q.keys[n]
+	q.keys = q.keys[:n]
+	if n > 0 {
+		// Sift last down from the root.
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && q.keys[c+1].less(q.keys[c]) {
+				c++
+			}
+			if !q.keys[c].less(last) {
+				break
+			}
+			q.keys[i] = q.keys[c]
+			i = c
+		}
+		q.keys[i] = last
+	}
+	ev := q.slab[top.slot]
+	q.slab[top.slot] = labEvent{} // release pkt and fn
+	q.free = append(q.free, top.slot)
+	return top.at, ev
 }
 
 // labHost implements node.Context for one behavior. Energy accounting
@@ -149,25 +214,23 @@ func NewLab(cfg LabConfig, behaviors []node.Behavior) (*Lab, error) {
 		}
 		l.hosts[i] = h
 		if b != nil {
-			l.push(&labEvent{at: 0, kind: evStart, host: i})
+			l.events.push(0, labEvent{kind: evStart, host: i})
 		}
 	}
 	return l, nil
 }
 
-func (l *Lab) push(e *labEvent) {
-	e.seq = l.seq
-	l.seq++
-	heap.Push(&l.events, e)
-}
-
 // transmit schedules one frame's arrival at a peer. The frame is cloned
 // because endpoints reuse their marshal scratch.
 func (l *Lab) transmit(from, to int, frame []byte) {
-	cp := make([]byte, len(frame))
-	copy(cp, frame)
+	var cp []byte
+	if n := len(l.bufs); n > 0 {
+		cp = l.bufs[n-1]
+		l.bufs = l.bufs[:n-1]
+	}
+	cp = append(cp[:0], frame...)
 	at := l.now + l.cfg.Latency + time.Duration(l.medium.Float64()*float64(l.cfg.Jitter))
-	l.push(&labEvent{at: at, kind: evArrive, host: to, from: from, pkt: cp})
+	l.events.push(at, labEvent{kind: evArrive, host: to, from: from, pkt: cp})
 }
 
 // arrive applies the loss model and hands the frame to the receiver.
@@ -203,13 +266,10 @@ func (l *Lab) deliverUp(host, from int, payload []byte) {
 // would pass until. Call repeatedly with increasing horizons to
 // interleave external actions (Do, ScheduleCrash) with protocol time.
 func (l *Lab) Run(until time.Duration) {
-	for l.events.Len() > 0 {
-		if l.events[0].at > until {
-			break
-		}
-		e := heap.Pop(&l.events).(*labEvent)
-		if e.at > l.now {
-			l.now = e.at
+	for l.events.len() > 0 && l.events.next() <= until {
+		at, e := l.events.pop()
+		if at > l.now {
+			l.now = at
 		}
 		h := l.hosts[e.host]
 		switch e.kind {
@@ -218,7 +278,13 @@ func (l *Lab) Run(until time.Duration) {
 				h.behavior.Start(h)
 			}
 		case evArrive:
-			l.arrive(e)
+			l.arrive(&e)
+			if l.cfg.Transport.Enabled() {
+				// transmit copied the frame; the endpoint and the
+				// behavior may read it only during the call (buffer
+				// ownership, docs/TRANSPORT.md), so it is free again.
+				l.bufs = append(l.bufs, e.pkt)
+			}
 		case evTimer:
 			if !h.alive {
 				break
@@ -284,7 +350,7 @@ func (h *labHost) rearmTick() {
 	}
 	h.tickAt = w
 	h.tickSet = true
-	h.lab.push(&labEvent{at: w, kind: evTick, host: h.idx})
+	h.lab.events.push(w, labEvent{kind: evTick, host: h.idx})
 }
 
 // Now returns the lab's current virtual time.
@@ -292,21 +358,21 @@ func (l *Lab) Now() time.Duration { return l.now }
 
 // Do schedules fn to run as node i (with its Context) at time at.
 func (l *Lab) Do(at time.Duration, i int, fn func(node.Context)) {
-	l.push(&labEvent{at: at, kind: evCall, host: i, fn: fn})
+	l.events.push(at, labEvent{kind: evCall, host: i, fn: fn})
 }
 
 // ScheduleCrash fail-stops node i at time at: timers cleared, radio
 // dark. Endpoint state freezes with it (peers see silence and trip
 // their breakers).
 func (l *Lab) ScheduleCrash(at time.Duration, i int) {
-	l.push(&labEvent{at: at, kind: evCrash, host: i})
+	l.events.push(at, labEvent{kind: evCrash, host: i})
 }
 
 // ScheduleReboot revives a crashed node i at time at with a warm
 // restart (node.Rebooter when implemented, Start otherwise) and a
 // fresh transport epoch.
 func (l *Lab) ScheduleReboot(at time.Duration, i int) {
-	l.push(&labEvent{at: at, kind: evReboot, host: i})
+	l.events.push(at, labEvent{kind: evReboot, host: i})
 }
 
 // Alive reports whether node i is currently up.
@@ -352,14 +418,14 @@ func (h *labHost) Broadcast(pkt []byte) {
 // transmitBare schedules a pre-cloned packet without re-copying.
 func (l *Lab) transmitBare(from, to int, pkt []byte) {
 	at := l.now + l.cfg.Latency + time.Duration(l.medium.Float64()*float64(l.cfg.Jitter))
-	l.push(&labEvent{at: at, kind: evArrive, host: to, from: from, pkt: pkt})
+	l.events.push(at, labEvent{kind: evArrive, host: to, from: from, pkt: pkt})
 }
 
 func (h *labHost) SetTimer(d time.Duration, tag node.Tag) node.TimerID {
 	h.nextTID++
 	id := h.nextTID
 	h.timers[id] = tag
-	h.lab.push(&labEvent{at: h.lab.now + d, kind: evTimer, host: h.idx, tid: id, tag: tag})
+	h.lab.events.push(h.lab.now+d, labEvent{kind: evTimer, host: h.idx, tid: id})
 	return id
 }
 

@@ -14,15 +14,18 @@
 // Determinism: an Endpoint draws jitter from the *xrand.RNG it was
 // constructed with and never consults wall-clock or global randomness,
 // so identical call sequences produce identical retransmit schedules.
-// Map iteration on hot decision paths (Tick) is sorted for the same
-// reason. The zero Config disables both framing and ARQ, keeping every
-// experiment family's golden output byte-identical.
+// For the same reason no decision path iterates a map: links sit in a
+// slice sorted by peer and each link's in-flight frames in a slice in
+// seq order, so Tick retransmits in (peer, seq) order. The zero Config
+// disables both framing and ARQ, keeping every experiment family's
+// golden output byte-identical.
 package transport
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -163,7 +166,22 @@ func (c Config) withDefaults() Config {
 // BaseRetryDelay is the deterministic (jitter-free) backoff before
 // retransmission attempt k (0-based): RetryBase<<k capped at RetryCap.
 func BaseRetryDelay(cfg Config, attempt int) time.Duration {
-	cfg = cfg.withDefaults()
+	return cfg.withDefaults().baseRetryDelay(attempt)
+}
+
+// RetryDelay draws the jittered backoff before retransmission attempt k
+// (0-based): BaseRetryDelay spread uniformly over ±RetryJitter×delay.
+// All randomness comes from rng, so a seeded stream reproduces the
+// exact retransmit schedule.
+func RetryDelay(cfg Config, attempt int, rng *xrand.RNG) time.Duration {
+	return cfg.withDefaults().retryDelay(attempt, rng)
+}
+
+// baseRetryDelay and retryDelay are BaseRetryDelay and RetryDelay on a
+// config withDefaults has already normalized. Normalizing twice would
+// read a disabled jitter (negative, normalized to 0) as unset and turn
+// the default back on.
+func (cfg Config) baseRetryDelay(attempt int) time.Duration {
 	if attempt < 0 {
 		attempt = 0
 	}
@@ -179,13 +197,8 @@ func BaseRetryDelay(cfg Config, attempt int) time.Duration {
 	return d
 }
 
-// RetryDelay draws the jittered backoff before retransmission attempt k
-// (0-based): BaseRetryDelay spread uniformly over ±RetryJitter×delay.
-// All randomness comes from rng, so a seeded stream reproduces the
-// exact retransmit schedule.
-func RetryDelay(cfg Config, attempt int, rng *xrand.RNG) time.Duration {
-	cfg = cfg.withDefaults()
-	base := BaseRetryDelay(cfg, attempt)
+func (cfg Config) retryDelay(attempt int, rng *xrand.RNG) time.Duration {
+	base := cfg.baseRetryDelay(attempt)
 	if cfg.RetryJitter == 0 || rng == nil {
 		return base
 	}
@@ -267,6 +280,7 @@ func NewMetrics(r *obs.Registry) Metrics {
 // pending is one unacked data frame awaiting retransmission or failure.
 type pending struct {
 	seq      uint32
+	tick     uint32 // Endpoint.ticks when sent: Tick skips frames sent during itself
 	raw      []byte // full marshalled frame, owned by the endpoint
 	attempts int    // retransmissions performed so far
 	nextAt   time.Duration
@@ -276,8 +290,9 @@ type pending struct {
 type link struct {
 	peer    int
 	nextSeq uint32
-	// inflight maps seq → pending for tracked, unacked data frames.
-	inflight map[uint32]*pending
+	// inflight holds the tracked, unacked data frames in send (and so
+	// seq) order.
+	inflight []pending
 
 	// Receive side: sliding duplicate-suppression window. rcvMask bit k
 	// marks seq rcvHigh-k as seen; anything older than 64 behind is
@@ -302,6 +317,32 @@ type link struct {
 	ackPend  []uint32
 	ackEpoch uint32
 	ackDue   time.Duration
+
+	// wake caches the earliest of the link's retransmit and ack
+	// deadlines.
+	wake deadline
+}
+
+// deadline caches the earliest of a set of deadlines. lower records a
+// new deadline; drop records that one went away or moved later, which
+// makes the cache stale when it was the earliest. The owner recomputes
+// a stale cache from its state, so a cached value is always exact.
+type deadline struct {
+	at    time.Duration
+	set   bool
+	stale bool
+}
+
+func (d *deadline) lower(at time.Duration) {
+	if !d.stale && (!d.set || at < d.at) {
+		d.at, d.set = at, true
+	}
+}
+
+func (d *deadline) drop(at time.Duration) {
+	if d.set && at == d.at {
+		d.stale = true
+	}
 }
 
 // Endpoint is one node's reliability state machine. It is NOT
@@ -323,11 +364,22 @@ type Endpoint struct {
 	deliver func(from int, payload []byte)
 	m       Metrics
 
-	links   map[int]*link
+	links map[int]*link
+	// order holds the same links sorted by peer: every walk over links
+	// (Tick, NextWake) goes through it, so none depends on map layout.
+	order []*link
+	wake  deadline // earliest deadline across all links
+	ticks uint32   // Tick calls so far
+	// rawFree holds the buffers of retired tracked frames for reuse.
+	// sending counts the send calls in progress that were handed a
+	// tracked frame: a synchronous carrier may still be reading a frame
+	// that an ack retired re-entrantly, so buffers retired meanwhile
+	// wait in rawHeld until the outermost such call returns.
+	rawFree [][]byte
+	rawHeld [][]byte
+	sending int
 	scratch []byte // marshal buffer for acks and untracked sends
 	ackBuf  []byte // range-payload scratch for coalesced acks
-	peerBuf []int  // sorted-key scratch for Tick
-	seqBuf  []uint32
 }
 
 // NewEndpoint builds an endpoint for node local. rng seeds the boot
@@ -373,10 +425,89 @@ func (e *Endpoint) newEpoch() uint32 {
 func (e *Endpoint) link(peer int) *link {
 	l, ok := e.links[peer]
 	if !ok {
-		l = &link{peer: peer, inflight: make(map[uint32]*pending)}
+		l = &link{peer: peer}
 		e.links[peer] = l
+		e.order = slices.Insert(e.order, e.search(peer), l)
 	}
 	return l
+}
+
+// search returns the index in e.order of the link toward peer, or where
+// it belongs.
+func (e *Endpoint) search(peer int) int {
+	i, _ := slices.BinarySearchFunc(e.order, peer, func(l *link, peer int) int { return cmp.Compare(l.peer, peer) })
+	return i
+}
+
+// find returns the index of seq in l.inflight, or -1.
+func (l *link) find(seq uint32) int {
+	for i := range l.inflight {
+		if l.inflight[i].seq == seq {
+			return i
+		}
+	}
+	return -1
+}
+
+// lower and drop keep the link's and the endpoint's deadline caches
+// (see deadline) in step with l's deadlines.
+func (e *Endpoint) lower(l *link, at time.Duration) {
+	l.wake.lower(at)
+	e.wake.lower(at)
+}
+
+func (e *Endpoint) drop(l *link, at time.Duration) {
+	l.wake.drop(at)
+	e.wake.drop(at)
+}
+
+// takeRaw returns an empty buffer for a tracked frame of size bytes.
+func (e *Endpoint) takeRaw(size int) []byte {
+	n := len(e.rawFree)
+	if n == 0 {
+		return make([]byte, 0, size)
+	}
+	b := e.rawFree[n-1]
+	e.rawFree = e.rawFree[:n-1]
+	return b
+}
+
+// sendTracked hands a tracked frame to the carrier.
+func (e *Endpoint) sendTracked(to int, raw []byte) {
+	e.sending++
+	e.send(to, raw)
+	e.sending--
+	if e.sending == 0 && len(e.rawHeld) > 0 {
+		e.rawFree = append(e.rawFree, e.rawHeld...)
+		clear(e.rawHeld)
+		e.rawHeld = e.rawHeld[:0]
+	}
+}
+
+// retire drops l.inflight[i], keeping the rest in send order.
+func (e *Endpoint) retire(l *link, i int) {
+	e.drop(l, l.inflight[i].nextAt)
+	if raw := l.inflight[i].raw[:0]; e.sending == 0 {
+		e.rawFree = append(e.rawFree, raw)
+	} else {
+		e.rawHeld = append(e.rawHeld, raw)
+	}
+	n := len(l.inflight) - 1
+	copy(l.inflight[i:], l.inflight[i+1:])
+	l.inflight[n] = pending{}
+	l.inflight = l.inflight[:n]
+}
+
+// after returns the index of the first in-flight frame sent after seq.
+// Frames in flight on one link span far less than 2^31 seqs, so the
+// serial-number comparison orders them across the uint32 wraparound.
+func (l *link) after(seq uint32) int {
+	for i := range l.inflight {
+		if int32(l.inflight[i].seq-seq) > 0 {
+			return i
+		}
+	}
+	return len(l.inflight)
 }
 
 // BreakerState reports the health phase of the link toward peer.
@@ -399,7 +530,7 @@ func (e *Endpoint) Quarantined(peer int) bool {
 // all links.
 func (e *Endpoint) InFlight() int {
 	n := 0
-	for _, l := range e.links {
+	for _, l := range e.order {
 		n += len(l.inflight)
 	}
 	return n
@@ -420,16 +551,14 @@ func (e *Endpoint) Send(to int, payload []byte, now time.Duration) {
 	f := Frame{Kind: KindData, From: uint32(e.local), Epoch: e.epoch, Seq: l.nextSeq, Payload: payload}
 	e.m.TxData.Inc()
 	if e.cfg.ARQ && e.admit(l, now) {
-		raw := f.Marshal()
-		l.inflight[l.nextSeq] = &pending{
-			seq:    l.nextSeq,
-			raw:    raw,
-			nextAt: now + RetryDelay(e.cfg, 0, e.rng),
-		}
+		raw := f.AppendMarshal(e.takeRaw(HeaderSize + len(payload)))
+		at := now + e.cfg.retryDelay(0, e.rng)
+		l.inflight = append(l.inflight, pending{seq: l.nextSeq, tick: e.ticks, raw: raw, nextAt: at})
+		e.lower(l, at)
 		if l.state == BreakerHalfOpen {
 			l.probe = l.nextSeq
 		}
-		e.send(to, raw)
+		e.sendTracked(to, raw)
 		return
 	}
 	e.scratch = f.AppendMarshal(e.scratch[:0])
@@ -530,7 +659,9 @@ const maxAckBatchSeqs = 4096
 // if it was open or probing. Idempotent, so replayed or overlapping acks
 // are harmless.
 func (e *Endpoint) ackOne(l *link, seq uint32, now time.Duration) {
-	delete(l.inflight, seq)
+	if i := l.find(seq); i >= 0 {
+		e.retire(l, i)
+	}
 	l.fails = 0
 	if l.state != BreakerClosed {
 		// Any ack proves the link is alive again — including acks
@@ -557,6 +688,7 @@ func (e *Endpoint) queueAck(l *link, epoch, seq uint32, now time.Duration) {
 	if len(l.ackPend) == 0 {
 		l.ackEpoch = epoch
 		l.ackDue = now + e.cfg.AckDelay
+		e.lower(l, l.ackDue)
 	}
 	l.ackPend = append(l.ackPend, seq)
 	if len(l.ackPend) >= e.cfg.AckMax {
@@ -572,9 +704,7 @@ func (e *Endpoint) flushAcks(l *link, now time.Duration) {
 	if len(l.ackPend) == 0 {
 		return
 	}
-	sort.Slice(l.ackPend, func(i, j int) bool {
-		return int32(l.ackPend[i]-l.ackPend[j]) < 0
-	})
+	slices.SortFunc(l.ackPend, func(a, b uint32) int { return int(int32(a - b)) })
 	e.ackBuf = e.ackBuf[:0]
 	start, count := l.ackPend[0], uint32(1)
 	emit := func() {
@@ -597,6 +727,7 @@ func (e *Endpoint) flushAcks(l *link, now time.Duration) {
 	e.scratch = f.AppendMarshal(e.scratch[:0])
 	e.m.TxAcks.Inc()
 	l.ackPend = l.ackPend[:0]
+	e.drop(l, l.ackDue)
 	e.send(l.peer, e.scratch)
 }
 
@@ -642,45 +773,71 @@ func (l *link) accept(epoch, seq uint32) bool {
 }
 
 // Tick retransmits due frames, ages out exhausted ones, and flushes
-// coalesced acks whose delay has expired. Iteration is sorted by peer
-// then seq so jitter draws happen in a deterministic order regardless of
-// map layout.
+// coalesced acks whose delay has expired. It visits links in peer order
+// and each link's frames in seq order, so jitter draws happen in a
+// deterministic order.
+//
+// A synchronous carrier may re-enter the endpoint from send: an ack can
+// retire a frame Tick has not reached yet, and the behavior may send new
+// frames. Tick skips retired frames and leaves frames sent during itself
+// to the next Tick.
 func (e *Endpoint) Tick(now time.Duration) {
 	if !e.cfg.ARQ {
 		return
 	}
-	e.peerBuf = e.peerBuf[:0]
-	for peer, l := range e.links {
-		if len(l.inflight) > 0 || (len(l.ackPend) > 0 && l.ackDue <= now) {
-			e.peerBuf = append(e.peerBuf, peer)
+	if w, ok := e.NextWake(); !ok || w > now {
+		return
+	}
+	e.ticks++
+	for i := 0; i < len(e.order); i++ {
+		l := e.order[i]
+		if l.wake.stale {
+			l.refresh()
+		}
+		if !l.wake.set || l.wake.at > now {
+			continue
+		}
+		e.tickLink(l, now)
+		if e.order[i] != l {
+			// A re-entrant send created links ahead of l.
+			i = e.search(l.peer)
 		}
 	}
-	sort.Ints(e.peerBuf)
-	for _, peer := range e.peerBuf {
-		l := e.links[peer]
-		if len(l.ackPend) > 0 && l.ackDue <= now {
-			e.flushAcks(l, now)
+}
+
+// tickLink is Tick for one link.
+func (e *Endpoint) tickLink(l *link, now time.Duration) {
+	if len(l.ackPend) > 0 && l.ackDue <= now {
+		e.flushAcks(l, now)
+	}
+	for i := 0; i < len(l.inflight); {
+		p := &l.inflight[i]
+		if p.tick == e.ticks {
+			return // sent during this Tick, as is everything after it
 		}
-		e.seqBuf = e.seqBuf[:0]
-		for seq := range l.inflight {
-			e.seqBuf = append(e.seqBuf, seq)
+		if p.nextAt > now {
+			i++
+			continue
 		}
-		sort.Slice(e.seqBuf, func(i, j int) bool { return e.seqBuf[i] < e.seqBuf[j] })
-		for _, seq := range e.seqBuf {
-			p := l.inflight[seq]
-			if p.nextAt > now {
-				continue
-			}
-			if p.attempts >= e.cfg.MaxRetries {
-				delete(l.inflight, seq)
-				e.m.Failures.Inc()
-				e.fail(l, seq, now)
-				continue
-			}
+		seq := p.seq
+		if p.attempts >= e.cfg.MaxRetries {
+			e.retire(l, i)
+			e.m.Failures.Inc()
+			e.fail(l, seq, now)
+		} else {
 			p.attempts++
-			p.nextAt = now + RetryDelay(e.cfg, p.attempts, e.rng)
+			e.drop(l, p.nextAt)
+			p.nextAt = now + e.cfg.retryDelay(p.attempts, e.rng)
+			e.lower(l, p.nextAt)
 			e.m.Retransmits.Inc()
-			e.send(peer, p.raw)
+			e.sendTracked(l.peer, p.raw)
+		}
+		// send and fail may re-enter the endpoint and retire or add
+		// frames; resume after seq.
+		if i < len(l.inflight) && l.inflight[i].seq == seq {
+			i++
+		} else {
+			i = l.after(seq)
 		}
 	}
 }
@@ -730,22 +887,32 @@ func (e *Endpoint) open(l *link, now time.Duration) {
 
 // NextWake returns the earliest deadline across all links — retransmit
 // timers and coalesced-ack flushes — or false when neither is pending.
+// It reads the cached earliest deadline and recomputes it only after
+// the earliest deadline went away, from the links' own caches.
 func (e *Endpoint) NextWake() (time.Duration, bool) {
-	var min time.Duration
-	found := false
-	for _, l := range e.links {
-		for _, p := range l.inflight {
-			if !found || p.nextAt < min {
-				min = p.nextAt
-				found = true
+	if e.wake.stale {
+		e.wake = deadline{}
+		for _, l := range e.order {
+			if l.wake.stale {
+				l.refresh()
+			}
+			if l.wake.set {
+				e.wake.lower(l.wake.at)
 			}
 		}
-		if len(l.ackPend) > 0 && (!found || l.ackDue < min) {
-			min = l.ackDue
-			found = true
-		}
 	}
-	return min, found
+	return e.wake.at, e.wake.set
+}
+
+// refresh recomputes l's deadline cache from its state.
+func (l *link) refresh() {
+	l.wake = deadline{}
+	for i := range l.inflight {
+		l.wake.lower(l.inflight[i].nextAt)
+	}
+	if len(l.ackPend) > 0 {
+		l.wake.lower(l.ackDue)
+	}
 }
 
 // Reboot resets the endpoint to a fresh incarnation: a new epoch,
@@ -753,7 +920,7 @@ func (e *Endpoint) NextWake() (time.Duration, bool) {
 // and reset their windows; acks for the old epoch are ignored.
 func (e *Endpoint) Reboot() {
 	open := 0
-	for _, l := range e.links {
+	for _, l := range e.order {
 		if l.state != BreakerClosed {
 			open++
 		}
@@ -761,4 +928,6 @@ func (e *Endpoint) Reboot() {
 	e.m.OpenLinks.Add(-int64(open))
 	e.epoch = e.newEpoch()
 	e.links = make(map[int]*link)
+	e.order = nil
+	e.wake = deadline{}
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -48,8 +49,10 @@ func TestUDPEndpointRoundTrip(t *testing.T) {
 		func(from int, p []byte) { got <- fmt.Sprintf("%d:%s", from, p) })
 
 	// Pump each carrier's inbound frames into its endpoint from a test
-	// goroutine. Real hosts do this from the node goroutine; the test
-	// serializes with plain channels.
+	// goroutine. Real hosts do this from the node goroutine. An Endpoint
+	// is not goroutine-safe, so a mutex serializes ea's Send on this
+	// goroutine with its HandleRaw on the pump.
+	var mu sync.Mutex
 	done := make(chan struct{})
 	go func() {
 		for in := range cb.Inbound() {
@@ -61,7 +64,9 @@ func TestUDPEndpointRoundTrip(t *testing.T) {
 	go func() {
 		n := 0
 		for in := range ca.Inbound() {
+			mu.Lock()
 			ea.HandleRaw(in.Frame, time.Duration(time.Now().UnixNano()))
+			mu.Unlock()
 			if n++; n == 3 {
 				close(ackSeen)
 			}
@@ -69,7 +74,9 @@ func TestUDPEndpointRoundTrip(t *testing.T) {
 	}()
 
 	for k := 0; k < 3; k++ {
+		mu.Lock()
 		ea.Send(1, []byte(fmt.Sprintf("udp%d", k)), time.Duration(time.Now().UnixNano()))
+		mu.Unlock()
 	}
 	for k := 0; k < 3; k++ {
 		select {
