@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -30,12 +31,18 @@ func injectRevoke(t *testing.T, d *Deployment, rv *wire.Revoke) {
 	}
 }
 
-// nonBSClusters returns up to k distinct non-BS cluster IDs.
+// nonBSClusters returns the k lowest non-BS cluster IDs.
 func nonBSClusters(t *testing.T, d *Deployment, k int) []uint32 {
 	t.Helper()
 	bsCID, _ := d.BS().Cluster()
+	sizes := d.Clusters().Sizes
+	cids := make([]uint32, 0, len(sizes))
+	for c := range sizes {
+		cids = append(cids, c)
+	}
+	slices.Sort(cids)
 	var out []uint32
-	for c := range d.Clusters().Sizes {
+	for _, c := range cids {
 		if c != bsCID {
 			out = append(out, c)
 		}
@@ -302,8 +309,9 @@ func TestRevokeDuringRepairElectionDoesNotResurrectKey(t *testing.T) {
 	at2 := d.Eng.Now() + time.Millisecond
 	d.Eng.Schedule(at2, func() { d.Eng.InjectAt(1, node.ID(999), pkt2) })
 	d.Eng.Run(at2 + 2*time.Second)
+	// Same scope as above: the crashed head never hears the follow-up.
 	for i, s := range d.Sensors {
-		if s == nil {
+		if s == nil || !d.Eng.Alive(i) {
 			continue
 		}
 		if _, known := s.KeyStore().KeyFor(other); known {

@@ -46,10 +46,10 @@ func (s *Sensor) startHandoff(ctx node.Context) {
 // nothing to retransmit.
 func (s *Sensor) leaveCluster() {
 	own := s.ks.CID
-	s.ks.DropCluster(own)
+	s.dropCluster(own)
 	s.dropMeta(own)
 	for _, cid := range s.ks.NeighborCIDs() {
-		s.ks.DropCluster(cid)
+		s.dropCluster(cid)
 		s.dropMeta(cid)
 	}
 	s.headID = 0

@@ -127,6 +127,10 @@ func TestHandoffLeavesNoStaleKey(t *testing.T) {
 	if !ok {
 		t.Fatalf("victim %d not clustered after setup", victim)
 	}
+	oldKey, _ := s.KeyStore().KeyFor(oldCID)
+	if _, cached := s.sealers[oldKey]; !cached {
+		t.Fatal("victim never cached its own cluster's sealer")
+	}
 
 	var hook struct {
 		oldCID, newCID     uint32
@@ -156,6 +160,10 @@ func TestHandoffLeavesNoStaleKey(t *testing.T) {
 	if _, held := s.KeyStore().KeyFor(oldCID); held {
 		t.Fatalf("victim still holds departed cluster %d's key after handoff", oldCID)
 	}
+	if _, cached := s.sealers[oldKey]; cached {
+		t.Fatalf("victim still caches departed cluster %d's sealer after handoff", oldCID)
+	}
+	assertSealersHeld(t, d)
 	// The admission master survives (repeated handoffs stay possible) but
 	// Km stays erased — handoff never widens the key-capture surface.
 	if s.KeyStore().AddMaster.IsZero() {

@@ -142,7 +142,7 @@ func (s *Sensor) RevokeClusters(ctx node.Context, cids []uint32) bool {
 	// The base station applies its own command: it stops accepting
 	// traffic relayed under revoked clusters' keys.
 	for _, cid := range cids {
-		s.ks.DropCluster(cid)
+		s.dropCluster(cid)
 		s.clearPrevKey(cid)
 	}
 	ctx.Broadcast(pkt)
@@ -172,7 +172,7 @@ func (s *Sensor) onRevoke(ctx node.Context, f *wire.Frame, pkt []byte) {
 		return
 	}
 	for _, cid := range rv.CIDs {
-		s.ks.DropCluster(cid)
+		s.dropCluster(cid)
 		s.dropMeta(cid)
 	}
 	if !s.ks.InCluster {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -21,7 +22,8 @@ func repairConfig() Config {
 
 // pickVictimCluster returns a clusterhead (graph index) that is not the
 // base station and has at least minMembers other members, plus those
-// members' indices.
+// members' indices. Clusters are tried in CID order, so the pick is the
+// same on every run.
 func pickVictimCluster(t *testing.T, d *Deployment, minMembers int) (int, []int) {
 	t.Helper()
 	members := make(map[uint32][]int)
@@ -33,7 +35,13 @@ func pickVictimCluster(t *testing.T, d *Deployment, minMembers int) (int, []int)
 			members[cid] = append(members[cid], i)
 		}
 	}
-	for cid, mm := range members {
+	cids := make([]uint32, 0, len(members))
+	for cid := range members {
+		cids = append(cids, cid)
+	}
+	slices.Sort(cids)
+	for _, cid := range cids {
+		mm := members[cid]
 		head := int(cid)
 		if head == d.BSIndex || head >= len(d.Sensors) {
 			continue

@@ -256,7 +256,10 @@ type Sensor struct {
 
 	// sealers caches per-key AEAD state (subkey derivations, AES key
 	// schedule, HMAC pads) so steady-state sealing and opening allocate
-	// nothing. Bounded by maxCachedSealers; see sealerFor.
+	// nothing. Bounded by maxCachedSealers; see sealerFor. An entry
+	// leaves with its key: dropCluster, setPrevKey, clearPrevKey and
+	// dropMeta evict it, and Km erasure clears the whole cache. The map
+	// is never iterated, so eviction changes no output.
 	sealers map[crypt.Key]*crypt.Sealer
 
 	// Transmit-path scratch. Every buffer is consumed before the call
@@ -480,24 +483,46 @@ func (s *Sensor) prevKeyOf(cid uint32) (crypt.Key, bool) {
 	return crypt.Key{}, false
 }
 
-// setPrevKey retains cid's outgoing key for one changeover window.
+// setPrevKey retains cid's outgoing key for one changeover window. The
+// key it displaces leaves the node, and its cached sealer with it.
 func (s *Sensor) setPrevKey(cid uint32, k crypt.Key) {
 	m := s.metaEnsure(cid)
+	if m.hasPrev && m.prev != k {
+		delete(s.sealers, m.prev)
+	}
 	m.prev, m.hasPrev = k, true
 }
 
-// clearPrevKey forgets the retained key without touching the epoch.
+// clearPrevKey forgets the retained key (and its cached sealer) without
+// touching the epoch.
 func (s *Sensor) clearPrevKey(cid uint32) {
 	if i, ok := s.metaIdx(cid); ok {
+		if s.meta[i].hasPrev {
+			delete(s.sealers, s.meta[i].prev)
+		}
 		s.meta[i].prev, s.meta[i].hasPrev = crypt.Key{}, false
 	}
 }
 
-// dropMeta erases all bookkeeping for cid (eviction).
+// dropMeta erases all bookkeeping for cid (eviction), including the
+// retained key's cached sealer.
 func (s *Sensor) dropMeta(cid uint32) {
 	if i, ok := s.metaIdx(cid); ok {
+		if s.meta[i].hasPrev {
+			delete(s.sealers, s.meta[i].prev)
+		}
 		s.meta = append(s.meta[:i], s.meta[i+1:]...)
 	}
+}
+
+// dropCluster deletes cid's key from the KeyStore together with its
+// cached sealer, whose derived Kencr/KMAC would otherwise outlive the
+// erased key.
+func (s *Sensor) dropCluster(cid uint32) {
+	if k, ok := s.ks.KeyFor(cid); ok {
+		delete(s.sealers, k)
+	}
+	s.ks.DropCluster(cid)
 }
 
 // KeyStore exposes the node's key material to the adversary model (node

@@ -46,7 +46,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -68,7 +67,7 @@ type shard struct {
 	eng   *Engine
 	id    int
 	now   time.Duration
-	queue shardHeap
+	queue eventQueue
 
 	// out[k] buffers deliveries addressed to shard k; the coordinator
 	// drains every outbox into the target heaps at the epoch barrier.
@@ -103,30 +102,6 @@ type xmsg struct {
 	to       int32         // receiver graph index
 	pkt      []byte        // receiver's private payload copy
 	lossLost bool          // sender-side Config.Loss verdict
-}
-
-// shardHeap orders events by the canonical (at, src, seq) key.
-type shardHeap []*event
-
-func (h shardHeap) Len() int { return len(h) }
-func (h shardHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].src != h[j].src {
-		return h[i].src < h[j].src
-	}
-	return h[i].seq < h[j].seq
-}
-func (h shardHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *shardHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *shardHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
 }
 
 // cbKind discriminates buffered user-callback records. The kind is part
@@ -249,7 +224,7 @@ func (s *shard) pushHostEvent(at time.Duration, h *host, kind eventKind) *event 
 	ev.seq = h.lseq
 	ev.kind = kind
 	ev.h = h
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
 	return ev
 }
 
@@ -261,7 +236,7 @@ func (s *shard) bufferCallback(r cbRec) { s.cbs = append(s.cbs, r) }
 func (s *shard) runEpoch(limit time.Duration) {
 	n := 0
 	for len(s.queue) > 0 && s.queue[0].at < limit {
-		ev := heap.Pop(&s.queue).(*event)
+		ev := s.queue.pop()
 		s.now = ev.at
 		s.dispatch(ev)
 		n++
@@ -339,7 +314,7 @@ func (s *shard) deliverFrom(h *host, from node.ID, pkt []byte) {
 		ev.pkt = copied
 		ev.txAt = txAt
 		ev.lossLost = lost
-		heap.Push(&s.queue, ev)
+		s.queue.push(ev)
 	}
 }
 
@@ -536,7 +511,7 @@ func (e *Engine) runSharded(until time.Duration, drainAll bool, maxEvents int) (
 			e.now = gt
 			e.syncShardClocks()
 			for len(e.queue) > 0 && e.queue[0].at == gt {
-				ev := heap.Pop(&e.queue).(*event)
+				ev := e.queue.pop()
 				e.dispatch(ev)
 				total++
 				e.m.events.Inc()
@@ -630,7 +605,7 @@ func (e *Engine) exchange() {
 				ev.pkt = m.pkt
 				ev.txAt = m.txAt
 				ev.lossLost = m.lossLost
-				heap.Push(&dst.queue, ev)
+				dst.queue.push(ev)
 				msgs[i] = xmsg{}
 			}
 			e.m.xmsgs.Add(uint64(len(msgs)))

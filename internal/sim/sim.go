@@ -29,7 +29,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -156,7 +155,7 @@ type Engine struct {
 	cfg    Config
 	now    time.Duration
 	seq    uint64
-	queue  eventHeap
+	queue  eventQueue
 	hosts  []*host
 	medium *xrand.RNG
 	inj    *faults.Injector
@@ -266,32 +265,13 @@ type event struct {
 	tid  node.TimerID
 
 	// Shard-mode key and payload extensions. src is the owning lane
-	// (the graph index of the host whose counter issued seq); txAt and
+	// (the graph index of the host whose counter issued seq; always 0 on
+	// the legacy engine, so its queue key reduces to (at, seq)); txAt and
 	// lossLost carry a shard delivery's transmission time and sender-side
 	// Config.Loss outcome across the mailbox.
 	src      int32
 	txAt     time.Duration
 	lossLost bool
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
 }
 
 // pktArena recycles the per-receiver packet copies deliverFrom makes.
@@ -483,7 +463,7 @@ func (e *Engine) push(at time.Duration, fn func()) {
 	ev := e.newEvent(at)
 	ev.kind = evFunc
 	ev.fn = fn
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 }
 
 // Boot schedules behavior Start callbacks at time t for every alive,
@@ -572,12 +552,8 @@ func (e *Engine) Run(until time.Duration) int {
 		return n
 	}
 	processed := 0
-	for e.queue.Len() > 0 {
-		next := e.queue[0]
-		if next.at > until {
-			break
-		}
-		heap.Pop(&e.queue)
+	for len(e.queue) > 0 && e.queue[0].at <= until {
+		next := e.queue.pop()
 		e.now = next.at
 		e.dispatch(next)
 		processed++
@@ -597,8 +573,8 @@ func (e *Engine) RunUntilIdle(maxEvents int) (int, error) {
 		return e.runSharded(0, true, maxEvents)
 	}
 	processed := 0
-	for e.queue.Len() > 0 {
-		next := heap.Pop(&e.queue).(*event)
+	for len(e.queue) > 0 {
+		next := e.queue.pop()
 		e.now = next.at
 		e.dispatch(next)
 		processed++
@@ -612,9 +588,9 @@ func (e *Engine) RunUntilIdle(maxEvents int) (int, error) {
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int {
-	n := e.queue.Len()
+	n := len(e.queue)
 	for _, s := range e.shards {
-		n += s.queue.Len()
+		n += len(s.queue)
 		for _, out := range s.out {
 			n += len(out)
 		}
@@ -836,7 +812,7 @@ func (e *Engine) deliverFrom(idx int, from node.ID, pkt []byte) {
 		ev.h = rcv
 		ev.from = from
 		ev.pkt = copied
-		heap.Push(&e.queue, ev)
+		e.queue.push(ev)
 	}
 }
 
@@ -878,14 +854,14 @@ func (e *Engine) scheduleCollidableRx(rcv *host, from node.ID, pkt []byte, arriv
 	begin.kind = evRxBegin
 	begin.h = rcv
 	begin.rx = rx
-	heap.Push(&e.queue, begin)
+	e.queue.push(begin)
 	end := e.newEvent(arrival + airtime)
 	end.kind = evRxEnd
 	end.h = rcv
 	end.from = from
 	end.pkt = pkt
 	end.rx = rx
-	heap.Push(&e.queue, end)
+	e.queue.push(end)
 }
 
 // runRxBegin starts occupying the receiver's radio, corrupting any
@@ -1010,7 +986,7 @@ func (h *host) SetTimer(d time.Duration, tag node.Tag) node.TimerID {
 	ev.kind = evTimer
 	ev.h = h
 	ev.tid = tid
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return tid
 }
 
