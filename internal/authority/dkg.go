@@ -76,7 +76,7 @@ type DKG struct {
 	pub  []*big.Int // pub[j-1] = g^{x_j}
 
 	// Complaints counts public complaints witnessed (for the
-	// authority_complaints metric, counted by the replica).
+	// authority_complaints_total metric, counted by the replica).
 	Complaints int
 }
 

@@ -64,8 +64,8 @@ func TestLabDKGConverges(t *testing.T) {
 			t.Fatalf("replica %d disagrees on the authority key", i+1)
 		}
 	}
-	if v := reg.Counter("authority_dkg_rounds", "").Value(); v == 0 {
-		t.Fatal("authority_dkg_rounds not counted")
+	if v := reg.Counter("authority_dkg_rounds_total", "").Value(); v == 0 {
+		t.Fatal("authority_dkg_rounds_total not counted")
 	}
 }
 
@@ -164,7 +164,7 @@ func TestLabDisqualifiesCorruptDealer(t *testing.T) {
 			t.Fatal("refresh command rendered with CIDs")
 		}
 	}
-	if reg.Counter("authority_complaints", "").Value() == 0 {
+	if reg.Counter("authority_complaints_total", "").Value() == 0 {
 		t.Fatal("corrupt dealing produced no complaint metric")
 	}
 }
@@ -307,7 +307,7 @@ func TestLabReshareHandsOffCommittee(t *testing.T) {
 	if n := len(replicas[3].Commands); n != 1 {
 		t.Fatalf("joiner adopted %d commands, want 1 (post-reshare)", n)
 	}
-	if reg.Counter("authority_reshares", "").Value() == 0 {
-		t.Fatal("authority_reshares not counted")
+	if reg.Counter("authority_reshares_total", "").Value() == 0 {
+		t.Fatal("authority_reshares_total not counted")
 	}
 }

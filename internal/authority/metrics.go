@@ -16,9 +16,9 @@ type metrics struct {
 
 func newMetrics(r *obs.Registry) metrics {
 	return metrics{
-		dkgRounds:  r.Counter("authority_dkg_rounds", "DKG round deadlines processed across replicas"),
-		complaints: r.Counter("authority_complaints", "public complaints witnessed in DKG sharing and extraction"),
-		reshares:   r.Counter("authority_reshares", "resharing sessions committed"),
+		dkgRounds:  r.Counter("authority_dkg_rounds_total", "DKG round deadlines processed across replicas"),
+		complaints: r.Counter("authority_complaints_total", "public complaints witnessed in DKG sharing and extraction"),
+		reshares:   r.Counter("authority_reshares_total", "resharing sessions committed"),
 		commands:   r.Counter("authority_commands_total", "threshold commands combined and adopted"),
 		cmdFailed:  r.Counter("authority_command_failures_total", "signing sessions that failed to combine"),
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/crypt"
 	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -300,6 +301,7 @@ type benchCtx struct {
 	now  time.Duration
 	last []byte
 	rng  *xrand.RNG
+	keys *crypt.Keyring
 }
 
 func (c *benchCtx) ID() node.ID                                   { return 1 }
@@ -311,6 +313,12 @@ func (c *benchCtx) Rand() *xrand.RNG                              { return c.rng
 func (c *benchCtx) ChargeCipher(int)                              {}
 func (c *benchCtx) ChargeMAC(int)                                 {}
 func (c *benchCtx) Die()                                          {}
+func (c *benchCtx) Keyring() *crypt.Keyring {
+	if c.keys == nil {
+		c.keys = crypt.NewKeyring()
+	}
+	return c.keys
+}
 
 // wireOperationalPair hand-builds a sensor and a base station sharing one
 // cluster, both operational, bypassing the setup phases — the minimal

@@ -78,7 +78,7 @@ func (s *Sensor) SendReading(ctx node.Context, data []byte) (uint32, bool) {
 		inner.Counter = s.readingCtr
 		inner.Encrypted = true
 		aad := s.innerAAD(s.id)
-		s.innerSealBuf = s.sealerFor(s.ks.NodeKey).AppendSeal(s.innerSealBuf[:0], s.readingCtr, aad, data)
+		s.innerSealBuf = s.scratch.AppendSeal(s.sealerFor(ctx, s.ks.NodeKey), s.innerSealBuf[:0], s.readingCtr, aad, data)
 		inner.Sealed = s.innerSealBuf
 		ctx.ChargeCipher(len(data))
 		ctx.ChargeMAC(len(data) + len(aad))
@@ -243,7 +243,7 @@ func (s *Sensor) deliver(ctx node.Context, origin node.ID, seq uint32, innerByte
 		}
 		aad := s.innerAAD(in.Src)
 		ctx.ChargeMAC(len(in.Sealed) + len(aad))
-		pt, ok := s.sealerFor(ki).AppendOpen(s.innerOpenBuf[:0], in.Counter, aad, in.Sealed)
+		pt, ok := s.scratch.AppendOpen(s.sealerFor(ctx, ki), s.innerOpenBuf[:0], in.Counter, aad, in.Sealed)
 		if !ok {
 			return
 		}

@@ -275,7 +275,7 @@ func (s *Sensor) rebootDuringSetup(ctx node.Context) {
 				s.cfg.Obs.Emit(ctx.Now(), obs.KindKmErase, int(s.id), 0, "clusterless")
 			}
 			s.ks.EraseMaster()
-			clear(s.sealers) // as in enterOperational: drop setup-era AEAD state
+			s.dropSealers() // as in enterOperational: drop setup-era AEAD state
 			s.phase = PhaseFailed
 		}
 		return

@@ -254,13 +254,23 @@ type Sensor struct {
 	om            coreMetrics
 	repairStartAt time.Duration
 
-	// sealers caches per-key AEAD state (subkey derivations, AES key
-	// schedule, HMAC pads) so steady-state sealing and opening allocate
-	// nothing. Bounded by maxCachedSealers; see sealerFor. An entry
+	// sealers maps each key the node has sealed or opened under to its
+	// keyed AEAD state (subkey derivations, AES key schedule, HMAC
+	// midstates), and scratch is the node's one mutable half that runs
+	// it, so steady-state sealing and opening allocate nothing. The
+	// keyed states are not the node's own: ring, the host's keyring,
+	// interns one per distinct key and every entry here holds one
+	// reference to it, so a cluster key shared by a whole cluster and
+	// its border neighbours is derived once per deployment. The map
+	// therefore holds exactly the node's own keys in use, and an entry
 	// leaves with its key: dropCluster, setPrevKey, clearPrevKey and
-	// dropMeta evict it, and Km erasure clears the whole cache. The map
-	// is never iterated, so eviction changes no output.
-	sealers map[crypt.Key]*crypt.Sealer
+	// dropMeta go through evictSealer, Km erasure, repair's clean-up
+	// and the maxCachedSealers overflow through dropSealers, and both
+	// release the ring reference. Neither ring nor map iteration order
+	// reaches any output.
+	sealers map[crypt.Key]*crypt.KeyState
+	ring    *crypt.Keyring // set at the first acquire; a node never changes host
+	scratch crypt.Scratch
 
 	// Transmit-path scratch. Every buffer is consumed before the call
 	// that filled it returns control to the radio (Broadcast copies
@@ -280,27 +290,45 @@ type Sensor struct {
 	bs *bsState
 }
 
-// maxCachedSealers bounds the per-sensor sealer cache. The base station
-// holds one sealer per origin node key, so the bound is sized for the
+// maxCachedSealers bounds the per-sensor sealer map. The base station
+// holds one entry per origin node key, so the bound is sized for the
 // multi-thousand-node topologies internal/geom targets; on overflow the
-// whole cache is cleared (deterministically — no eviction order) and
+// whole map is dropped (deterministically — no eviction order) and
 // rebuilt on demand.
 const maxCachedSealers = 4096
 
-// sealerFor returns the cached AEAD state for key, constructing it on
-// first use.
-func (s *Sensor) sealerFor(key crypt.Key) *crypt.Sealer {
-	if sl, ok := s.sealers[key]; ok {
-		return sl
+// sealerFor returns the keyed AEAD state for key, acquiring a reference
+// from the host's keyring on the node's first use of the key.
+func (s *Sensor) sealerFor(ctx node.Context, key crypt.Key) *crypt.KeyState {
+	if st, ok := s.sealers[key]; ok {
+		return st
 	}
 	if s.sealers == nil {
-		s.sealers = make(map[crypt.Key]*crypt.Sealer, 8)
+		s.sealers = make(map[crypt.Key]*crypt.KeyState, 8)
+		s.ring = ctx.Keyring()
 	} else if len(s.sealers) >= maxCachedSealers {
-		clear(s.sealers)
+		s.dropSealers()
 	}
-	sl := crypt.NewSealer(key)
-	s.sealers[key] = sl
-	return sl
+	st := s.ring.Acquire(key)
+	s.sealers[key] = st
+	return st
+}
+
+// evictSealer forgets k's keyed state and releases the node's keyring
+// reference to it. Evicting a key the node never used is a no-op.
+func (s *Sensor) evictSealer(k crypt.Key) {
+	if _, ok := s.sealers[k]; ok {
+		delete(s.sealers, k)
+		s.ring.Release(k)
+	}
+}
+
+// dropSealers evicts every keyed state the node holds.
+func (s *Sensor) dropSealers() {
+	for k := range s.sealers {
+		s.ring.Release(k)
+	}
+	clear(s.sealers)
 }
 
 // coreMetrics are the protocol counters shared by every sensor built
@@ -488,7 +516,7 @@ func (s *Sensor) prevKeyOf(cid uint32) (crypt.Key, bool) {
 func (s *Sensor) setPrevKey(cid uint32, k crypt.Key) {
 	m := s.metaEnsure(cid)
 	if m.hasPrev && m.prev != k {
-		delete(s.sealers, m.prev)
+		s.evictSealer(m.prev)
 	}
 	m.prev, m.hasPrev = k, true
 }
@@ -498,7 +526,7 @@ func (s *Sensor) setPrevKey(cid uint32, k crypt.Key) {
 func (s *Sensor) clearPrevKey(cid uint32) {
 	if i, ok := s.metaIdx(cid); ok {
 		if s.meta[i].hasPrev {
-			delete(s.sealers, s.meta[i].prev)
+			s.evictSealer(s.meta[i].prev)
 		}
 		s.meta[i].prev, s.meta[i].hasPrev = crypt.Key{}, false
 	}
@@ -509,7 +537,7 @@ func (s *Sensor) clearPrevKey(cid uint32) {
 func (s *Sensor) dropMeta(cid uint32) {
 	if i, ok := s.metaIdx(cid); ok {
 		if s.meta[i].hasPrev {
-			delete(s.sealers, s.meta[i].prev)
+			s.evictSealer(s.meta[i].prev)
 		}
 		s.meta = append(s.meta[:i], s.meta[i+1:]...)
 	}
@@ -520,7 +548,7 @@ func (s *Sensor) dropMeta(cid uint32) {
 // erased key.
 func (s *Sensor) dropCluster(cid uint32) {
 	if k, ok := s.ks.KeyFor(cid); ok {
-		delete(s.sealers, k)
+		s.evictSealer(k)
 	}
 	s.ks.DropCluster(cid)
 }
@@ -680,7 +708,7 @@ func (s *Sensor) nextNonce() uint64 {
 func (s *Sensor) sealFrame(ctx node.Context, typ wire.Type, cid uint32, key crypt.Key, body []byte) []byte {
 	nonce := s.nextNonce()
 	aad := s.frameAAD(typ, cid)
-	s.sealBuf = s.sealerFor(key).AppendSeal(s.sealBuf[:0], nonce, aad, body)
+	s.sealBuf = s.scratch.AppendSeal(s.sealerFor(ctx, key), s.sealBuf[:0], nonce, aad, body)
 	ctx.ChargeCipher(len(body))
 	ctx.ChargeMAC(len(body) + len(aad))
 	pkt, err := (&wire.Frame{Type: typ, CID: cid, Nonce: nonce, Payload: s.sealBuf}).AppendMarshal(s.txBuf[:0])
@@ -699,7 +727,7 @@ func (s *Sensor) sealFrame(ctx node.Context, typ wire.Type, cid uint32, key cryp
 func (s *Sensor) openFrame(ctx node.Context, f *wire.Frame, key crypt.Key) ([]byte, bool) {
 	aad := s.frameAAD(f.Type, f.CID)
 	ctx.ChargeMAC(len(f.Payload) + len(aad))
-	body, ok := s.sealerFor(key).AppendOpen(s.openBuf[:0], f.Nonce, aad, f.Payload)
+	body, ok := s.scratch.AppendOpen(s.sealerFor(ctx, key), s.openBuf[:0], f.Nonce, aad, f.Payload)
 	if !ok {
 		return nil, false
 	}
@@ -796,13 +824,12 @@ func (s *Sensor) enterOperational(ctx node.Context) {
 		s.cfg.Obs.Emit(ctx.Now(), obs.KindKmErase, int(s.id), s.ks.CID, "")
 	}
 	s.ks.EraseMaster()
-	// Drop the setup-era sealer cache along with Km itself. The cached
-	// AEAD state for Km (and any other key only used during setup) is
-	// ~1 KB per entry and would otherwise stay pinned for the node's
-	// lifetime — about a gigabyte across a 10^6-node deployment. This
-	// is purely a cache: operational traffic rebuilds the entries it
-	// uses, so output is byte-identical (the map is never iterated).
-	clear(s.sealers)
+	// Drop the setup-era sealer references along with Km itself, so the
+	// keyring frees Km's AEAD state (and that of any other key only used
+	// during setup) once the last node erases it. This is purely a
+	// cache: operational traffic re-acquires the entries it uses, so
+	// output is byte-identical.
+	s.dropSealers()
 	s.phase = PhaseOperational
 	if s.bs != nil {
 		s.TriggerBeacon(ctx)

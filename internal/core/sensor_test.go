@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/crypt"
 	"repro/internal/node"
 	"repro/internal/wire"
 	"repro/internal/xrand"
@@ -137,6 +138,7 @@ func TestRefreshModeString(t *testing.T) {
 // stubContext is a minimal node.Context for precondition tests.
 type stubContext struct {
 	sent [][]byte
+	keys *crypt.Keyring
 }
 
 func (c *stubContext) ID() node.ID                                   { return 7 }
@@ -148,6 +150,12 @@ func (c *stubContext) Rand() *xrand.RNG                              { return xr
 func (c *stubContext) ChargeCipher(int)                              {}
 func (c *stubContext) ChargeMAC(int)                                 {}
 func (c *stubContext) Die()                                          {}
+func (c *stubContext) Keyring() *crypt.Keyring {
+	if c.keys == nil {
+		c.keys = crypt.NewKeyring()
+	}
+	return c.keys
+}
 
 // Benchmarks for the protocol's hot paths.
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/crypt"
 	"repro/internal/node"
 	"repro/internal/topology"
 	"repro/internal/xrand"
@@ -28,6 +29,8 @@ type Lab struct {
 	// bufs holds frame copies whose arrival has been handled, for
 	// transmit to reuse.
 	bufs [][]byte
+	// keys is the keyed-sealer table every hosted behavior shares.
+	keys *crypt.Keyring
 }
 
 // LabConfig configures a Lab.
@@ -194,7 +197,7 @@ func NewLab(cfg LabConfig, behaviors []node.Behavior) (*Lab, error) {
 		cfg.Jitter = 200 * time.Microsecond
 	}
 	root := xrand.New(cfg.Seed)
-	l := &Lab{cfg: cfg, medium: root.Split(0)}
+	l := &Lab{cfg: cfg, medium: root.Split(0), keys: crypt.NewKeyring()}
 	l.hosts = make([]*labHost, len(behaviors))
 	for i, b := range behaviors {
 		h := &labHost{
@@ -385,12 +388,13 @@ func (l *Lab) Endpoint(i int) *Endpoint { return l.hosts[i].ep }
 
 // --- labHost: node.Context ---
 
-func (h *labHost) ID() node.ID        { return node.ID(h.idx) }
-func (h *labHost) Now() time.Duration { return h.lab.now }
-func (h *labHost) Rand() *xrand.RNG   { return h.rng }
-func (h *labHost) ChargeCipher(n int) {}
-func (h *labHost) ChargeMAC(n int)    {}
-func (h *labHost) Die()               { h.alive = false; h.timers = make(map[node.TimerID]node.Tag) }
+func (h *labHost) ID() node.ID             { return node.ID(h.idx) }
+func (h *labHost) Now() time.Duration      { return h.lab.now }
+func (h *labHost) Rand() *xrand.RNG        { return h.rng }
+func (h *labHost) ChargeCipher(n int)      {}
+func (h *labHost) ChargeMAC(n int)         {}
+func (h *labHost) Keyring() *crypt.Keyring { return h.lab.keys }
+func (h *labHost) Die()                    { h.alive = false; h.timers = make(map[node.TimerID]node.Tag) }
 
 // Broadcast fans the packet out to every radio neighbor, through the
 // endpoint when the transport is enabled. The packet is cloned once:
