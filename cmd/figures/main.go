@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	figures [-n 2500] [-trials 5] [-seed 1] [-workers 0] [-shards 0]
+//	figures [-n 2500] [-trials 5] [-seed 1] [-workers 0] [-shards 1]
 //	        [-scale-sizes 25000,100000] [-memlimit 0] [-format text]
 //	        [-obs :9090]
 //	        [-only fig1,sweep,scale,resilience,broadcast,flood,selective,
@@ -17,12 +17,11 @@
 // text or markdown tables. Output is bit-identical at every worker
 // count (see docs/DETERMINISM.md).
 //
-// -shards >= 1 runs every trial on the simulator's intra-trial sharded
-// engine (S shard goroutines per simulation; the trial pool shrinks so
-// -workers still bounds total concurrency). Output is byte-identical
-// across all -shards >= 1 but differs from the default -shards 0 legacy
-// engine; see docs/SCALING.md. The scale step's ScaleSweep sizes come
-// from -scale-sizes; reproducing the 10^6-node run is
+// -shards S runs every trial's simulation on S shard goroutines (the
+// trial pool shrinks so -workers still bounds total concurrency). Like
+// -workers it never changes the output; see docs/SCALING.md. The scale
+// step's ScaleSweep sizes come from -scale-sizes; reproducing the
+// 10^6-node run is
 //
 //	figures -only scale -shards 8 -trials 1 -scale-sizes 1000000
 //
@@ -59,7 +58,7 @@ import (
 // package doc comment above; usage_test.go enforces that every
 // registered flag appears here and that the doc comment carries these
 // exact lines.
-const usageText = `figures [-n 2500] [-trials 5] [-seed 1] [-workers 0] [-shards 0]
+const usageText = `figures [-n 2500] [-trials 5] [-seed 1] [-workers 0] [-shards 1]
         [-scale-sizes 25000,100000] [-memlimit 0] [-format text]
         [-obs :9090]
         [-only fig1,sweep,scale,resilience,broadcast,flood,selective,
@@ -88,7 +87,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 		trials:     fs.Int("trials", 5, "independent deployments per data point"),
 		seed:       fs.Uint64("seed", 1, "root random seed"),
 		workers:    fs.Int("workers", 0, "concurrent trials (0 = one per CPU, 1 = serial)"),
-		shards:     fs.Int("shards", 0, "intra-trial simulation shards (0 = legacy serial engine, >=1 = sharded; see docs/SCALING.md)"),
+		shards:     fs.Int("shards", 1, "goroutines per simulation; output is identical at every value (see docs/SCALING.md)"),
 		scaleSizes: fs.String("scale-sizes", "25000,100000", "comma-separated network sizes for the scale step's ScaleSweep"),
 		memLimit:   fs.String("memlimit", "0", "soft Go heap limit via debug.SetMemoryLimit (bytes or KiB/MiB/GiB suffix, e.g. 2GiB); 0 = unbounded"),
 		only:       fs.String("only", "", "comma-separated subset of experiments to run"),

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	wsnsim [-n 2000] [-density 12.5] [-seed 1] [-loss 0]
-//	       [-shards 0] [-readings 100] [-batch 0] [-fusion] [-refresh none]
+//	       [-shards 1] [-readings 100] [-batch 0] [-fusion] [-refresh none]
 //	       [-refresh-period 0] [-evict 0] [-authority t/n] [-add 0]
 //	       [-battery 0] [-faults plan.txt] [-heal] [-trace] [-map] [-v]
 //	       [-mobility 0] [-mobility-speed 1] [-mobility-model waypoint]
@@ -75,7 +75,7 @@ import (
 // registered flag appears here and that the doc comment carries these
 // exact lines.
 const usageText = `wsnsim [-n 2000] [-density 12.5] [-seed 1] [-loss 0]
-       [-shards 0] [-readings 100] [-batch 0] [-fusion] [-refresh none]
+       [-shards 1] [-readings 100] [-batch 0] [-fusion] [-refresh none]
        [-refresh-period 0] [-evict 0] [-authority t/n] [-add 0]
        [-battery 0] [-faults plan.txt] [-heal] [-trace] [-map] [-v]
        [-mobility 0] [-mobility-speed 1] [-mobility-model waypoint]
@@ -123,7 +123,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 		density:   fs.Float64("density", 12.5, "target mean neighbors per node"),
 		seed:      fs.Uint64("seed", 1, "simulation seed"),
 		loss:      fs.Float64("loss", 0, "per-link packet loss probability"),
-		shards:    fs.Int("shards", 0, "intra-trial simulation shards (0 = legacy serial engine, >=1 = sharded; see docs/SCALING.md)"),
+		shards:    fs.Int("shards", 1, "goroutines per simulation; output is identical at every value (see docs/SCALING.md)"),
 		readings:  fs.Int("readings", 100, "readings to originate from random nodes"),
 		batch:     fs.Int("batch", 0, "seal up to this many readings per data frame (0/1 = one frame per reading; see docs/THROUGHPUT.md)"),
 		fusion:    fs.Bool("fusion", false, "data-fusion mode: disable Step-1 encryption"),

@@ -64,8 +64,9 @@ type DeployOptions struct {
 	Obs *obs.Scope
 	// DisablePooling turns off the engine's event and packet-buffer reuse
 	// (see sim.Config.DisablePooling). Pooling is inside the
-	// byte-equivalence contract, so this changes no output — it exists for
-	// the equivalence tests and as a debugging escape hatch.
+	// byte-equivalence contract, so this changes no output — it is the
+	// reference the pool-equivalence tests compare against, and a
+	// debugging escape hatch.
 	DisablePooling bool
 	// PoisonRecycled overwrites recycled packet buffers with 0xDB (see
 	// sim.Config.PoisonRecycled) to surface illegal packet retention.
@@ -75,12 +76,11 @@ type DeployOptions struct {
 	// share one cluster-key seal, flushed on size or deadline. 0 keeps
 	// the classic one-reading-per-frame path byte-identical.
 	Batch int
-	// Shards, when >= 1, runs the trial on the simulator's intra-trial
-	// sharded engine: nodes are assigned to spatial stripes via
-	// topology.Graph.ShardStripes and each stripe's event heap advances
-	// on its own goroutine. Output is byte-identical across all Shards
-	// >= 1 but differs from the legacy Shards=0 engine (see
-	// sim.Config.Shards and docs/SCALING.md).
+	// Shards is how many goroutines the simulation runs on (0 and 1
+	// both mean one, inline). Above 1, nodes are assigned to spatial
+	// stripes via topology.Graph.ShardStripes and each stripe's event
+	// heap advances on its own goroutine. Output is byte-identical at
+	// every value (see sim.Config.Shards and docs/SCALING.md).
 	Shards int
 	// Mobility, if it enables any motion (mobility.Config.Enabled),
 	// attaches a seeded mobility controller driving the listed nodes
@@ -174,7 +174,7 @@ func Deploy(opt DeployOptions) (*Deployment, error) {
 		behaviors[i] = sensors[i]
 	}
 	var shardOf []int
-	if opt.Shards > 0 {
+	if opt.Shards > 1 {
 		shardOf = graph.ShardStripes(opt.Shards)
 	}
 	eng, err := sim.New(sim.Config{

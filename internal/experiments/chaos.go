@@ -104,16 +104,20 @@ func CrashChurn(o Options, fracs []float64) (*CrashChurnResult, error) {
 			if err := d.RunSetup(); err != nil {
 				return churnObs{}, err
 			}
-			// First repair claim per cluster, observed on the claimants.
-			firstRepair := make(map[uint32]time.Duration)
+			// Repair claims, observed on the claimants. They land in
+			// per-node slots: node i's hook only writes slot i, so
+			// collection is shard-safe.
+			type claim struct {
+				cid uint32
+				at  time.Duration
+			}
+			claims := make([][]claim, len(d.Sensors))
 			for i, s := range d.Sensors {
 				if s == nil || i == d.BSIndex {
 					continue
 				}
 				s.OnRepaired = func(cid uint32, _ node.ID, at time.Duration) {
-					if _, ok := firstRepair[cid]; !ok {
-						firstRepair[cid] = at
-					}
+					claims[i] = append(claims[i], claim{cid, at})
 				}
 			}
 			// Which victims were heads with at least one surviving member?
@@ -140,6 +144,15 @@ func CrashChurn(o Options, fracs []float64) (*CrashChurnResult, error) {
 			miss := time.Duration(cfg.KeepAliveMisses) * cfg.KeepAlivePeriod
 			settled := lastCrash + miss + 1500*time.Millisecond
 			d.Eng.Run(settled)
+			// The first repair of a cluster is its earliest claim.
+			firstRepair := make(map[uint32]time.Duration)
+			for _, cs := range claims {
+				for _, c := range cs {
+					if first, ok := firstRepair[c.cid]; !ok || c.at < first {
+						firstRepair[c.cid] = c.at
+					}
+				}
+			}
 			for _, v := range victims {
 				if at, ok := firstRepair[uint32(v)]; ok {
 					ob.repaired++

@@ -173,16 +173,11 @@ func TestChaosEquivalenceAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestShardCountEquivalence proves the sharded engine's invariance
-// contract at the experiment level: every family marshals to the same
-// bytes at Shards 1, 2, 4, and GOMAXPROCS. The reference is Shards=1
-// (the sharded engine's serial escape hatch), not Shards=0: the legacy
-// engine is a different determinism contract by design — the global
-// tie-break sequence and the shared medium stream are inherently
-// serial — so sharded output matches it in distribution, not in bytes
-// (see docs/SCALING.md).
+// TestShardCountEquivalence proves the engine's invariance contract at
+// the experiment level: every family marshals to the same bytes at
+// Shards 0, 1, 2, 4, and GOMAXPROCS (docs/SCALING.md).
 func TestShardCountEquivalence(t *testing.T) {
-	shardCounts := []int{1, 2, 4}
+	shardCounts := []int{0, 1, 2, 4}
 	if p := runtime.GOMAXPROCS(0); p > 1 && p != 2 && p != 4 {
 		shardCounts = append(shardCounts, p)
 	}
@@ -201,7 +196,7 @@ func TestShardCountEquivalence(t *testing.T) {
 				if ref == nil {
 					ref = j
 				} else if !bytes.Equal(ref, j) {
-					t.Fatalf("shards=%d output differs from shards=1\nref: %s\ngot: %s", shards, ref, j)
+					t.Fatalf("shards=%d output differs from shards=0\nref: %s\ngot: %s", shards, ref, j)
 				}
 			}
 		})

@@ -44,12 +44,11 @@ type Options struct {
 	// events carry per-trial labels). Results are byte-identical with or
 	// without it — see docs/DETERMINISM.md on the obs exclusion.
 	Obs *obs.Registry
-	// Shards, when >= 1, runs every trial on the simulator's intra-trial
-	// sharded engine with this many shards; the trial pool is then sized
-	// with runner.NestedWorkers so Workers keeps bounding total
-	// concurrency. Output is byte-identical across all Shards >= 1 but
-	// differs from the legacy Shards=0 engine (a new determinism
-	// contract, like a seed salt; see docs/SCALING.md).
+	// Shards is how many goroutines each trial's simulation runs on
+	// (0 and 1 both mean one, inline); the trial pool is sized with
+	// runner.NestedWorkers so Workers keeps bounding total concurrency.
+	// Like Workers it is a pure parallelism setting: output is
+	// byte-identical at every value (see docs/SCALING.md).
 	Shards int
 }
 

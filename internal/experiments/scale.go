@@ -95,9 +95,9 @@ type ScaleSweepResult struct {
 	Points []*ScalePoint `json:"points"`
 	// Density is the fixed density the sweep ran at.
 	Density float64 `json:"density"`
-	// Shards echoes the engine configuration (0 = legacy serial engine).
-	// Excluded from JSON: the invariance contract is precisely that the
-	// serialized result does not depend on the shard count.
+	// Shards echoes the engine's parallelism setting (0 and 1 both run
+	// one shard inline). Excluded from JSON: the invariance contract is
+	// precisely that the serialized result does not depend on it.
 	Shards int `json:"-"`
 	// PeakRSSBytes is the process's resident-memory high-water mark
 	// (VmHWM) sampled when the sweep finishes — the number the ROADMAP's

@@ -2,36 +2,40 @@ package sim
 
 import "time"
 
-// eventQueue is the binary min-heap both engine modes schedule on. It
-// orders by the key (at, src, seq) held by value beside each event
-// pointer, so sifting compares plain integers and never dereferences an
-// event. Legacy events leave src at 0 and take seq from the engine's
-// global counter, which makes their order exactly the legacy (at, seq);
-// shard events carry their canonical (at, src, seq) lane key. Keys are
-// unique within a queue, so the pop order is a pure function of the keys
-// pushed, whatever the heap's internal layout.
+// eventQueue is the binary min-heap every lane schedules on. It orders
+// by the key (at, src, seq) held by value beside each event pointer, so
+// sifting compares plain integers and never dereferences an event.
+// Coordinator events leave src at 0 and take seq from the engine's
+// coordinator counter; shard events carry their canonical (at, src, seq)
+// lane key. Keys are unique within a queue, so the pop order is a pure
+// function of the keys pushed, whatever the heap's internal layout.
 type eventQueue []qent
 
+// qent packs (src, seq) into one word, src above the laneSeqBits low
+// bits, so an entry is three words and a tie on at costs one compare.
 type qent struct {
-	at  time.Duration
-	src int32
-	seq uint64
-	ev  *event
+	at   time.Duration
+	lane uint64
+	ev   *event
 }
+
+// laneSeqBits is the width of the lane sequence in qent.lane: a lane
+// holds up to 2^40 events and a graph up to maxNodes nodes (New checks).
+const (
+	laneSeqBits = 40
+	maxNodes    = 1 << (64 - laneSeqBits)
+)
 
 func (a *qent) less(b *qent) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.seq < b.seq
+	return a.lane < b.lane
 }
 
 // push queues ev under its (at, src, seq) key.
 func (q *eventQueue) push(ev *event) {
-	k := qent{at: ev.at, src: ev.src, seq: ev.seq, ev: ev}
+	k := qent{at: ev.at, lane: uint64(ev.src)<<laneSeqBits | ev.seq, ev: ev}
 	h := append(*q, k)
 	i := len(h) - 1
 	for i > 0 {

@@ -33,7 +33,7 @@ func TestEventQueueMatchesSort(t *testing.T) {
 		var q eventQueue
 		var pending []*event
 		var seq uint64
-		legacy := seed%2 == 0 // legacy engine shape: src always 0
+		coordinator := seed%2 == 0 // coordinator lane shape: src always 0
 		for step := 0; step < 2000; step++ {
 			if len(pending) > 0 && rng.Bool(0.4) {
 				got := q.pop()
@@ -52,7 +52,7 @@ func TestEventQueueMatchesSort(t *testing.T) {
 			}
 			seq++
 			ev := &event{at: time.Duration(rng.Uint64n(8)), seq: seq}
-			if !legacy {
+			if !coordinator {
 				ev.src = int32(rng.Uint64n(4))
 				ev.seq = rng.Uint64n(1 << 40) // lane counters need not be global
 			}

@@ -1,29 +1,29 @@
-// Shard-mode scheduler: the intra-trial parallel engine selected by
-// Config.Shards >= 1.
+// The scheduler: shards, conservative epochs and the barrier that
+// exchanges mailboxes and replays user callbacks.
 //
 // # Design
 //
-// The node set is partitioned into S shards (spatial stripes when the
-// caller supplies Config.ShardOf; contiguous index ranges otherwise).
-// Each shard owns a private event heap, packet arena, event free-list,
-// and fault-injector replica, and advances on its own goroutine in
+// The node set is partitioned into S = max(Config.Shards, 1) shards
+// (spatial stripes when the caller supplies Config.ShardOf; contiguous
+// index ranges otherwise). Each shard owns a private event heap, packet
+// arena, event free-list, and fault-injector replica. At S = 1 the one
+// shard runs inline on the calling goroutine; at S > 1 each shard
+// advances on its own goroutine. Either way the run proceeds in
 // conservative synchronous epochs. The epoch width is the lookahead
-// L = PropDelay: every radio delivery — the only cross-shard
-// interaction — arrives at least L after its transmission, so if M is
-// the globally earliest pending event, no event before M+L can be
-// influenced by a transmission that has not happened yet. Each epoch
-// therefore processes every event with at < limit = min(M+L, next
-// coordinator event, until+1ns), then all shards meet at a barrier
-// where the coordinator drains the per-shard outboxes into the target
-// heaps and replays buffered user callbacks.
+// L = PropDelay: every radio delivery — the only cross-shard interaction
+// — arrives at least L after its transmission, so if M is the globally
+// earliest pending event, no event before M+L can be influenced by a
+// transmission that has not happened yet. Each epoch therefore processes
+// every event with at < limit = min(M+L, next coordinator event,
+// until+1ns), then all shards meet at a barrier where the coordinator
+// drains the per-shard outboxes into the target heaps and replays
+// buffered user callbacks. The epoch limits depend only on the pending
+// event set, never on S.
 //
 // # The shard-count-invariance contract
 //
-// Shard mode is byte-identical across every shard count S >= 1 and
-// every shard assignment, but intentionally NOT to the legacy Shards=0
-// engine, whose global insertion-sequence tie-break and single shared
-// medium stream are inherently serial (see docs/DETERMINISM.md). Three
-// mechanisms make the contract hold:
+// The engine is byte-identical across every shard count and every shard
+// assignment. Three mechanisms make the contract hold:
 //
 //  1. Canonical event order. Every shard event carries the key
 //     (at, src, seq) where src is the graph index of the host whose
@@ -43,12 +43,23 @@
 //     identically. User callbacks (Trace, OnDeath, OnCrash) are
 //     buffered per shard and replayed on the coordinator in canonical
 //     order at each barrier.
+//
+// # Trace replay
+//
+// A transmission keeps one trace record: the packet, copied once, and a
+// slot per receiver. The sender fills in each slot's Config.Loss
+// verdict; with a fault plan, each receiver adds its fault verdict at
+// arrival. A record is replayed once its last arrival lies before the
+// barrier, and never ahead of an earlier-keyed record still waiting, so
+// the Trace hook sees each broadcast's deliveries together and
+// transmission times that never step backwards.
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/faults"
@@ -71,11 +82,13 @@ type shard struct {
 
 	// out[k] buffers deliveries addressed to shard k; the coordinator
 	// drains every outbox into the target heaps at the epoch barrier.
-	out []xoutbox
+	out [][]*event
 
-	// cbs buffers user-callback records (trace, death, crash) for
-	// canonical-order replay on the coordinator.
+	// cbs buffers death and crash callbacks, txs the trace records of
+	// this epoch's transmissions, for canonical-order replay on the
+	// coordinator.
 	cbs []cbRec
+	txs []*txTrace
 
 	// inj is this shard's fault-injector replica (nil without Faults).
 	inj *faults.Injector
@@ -84,94 +97,86 @@ type shard struct {
 	// coordinator harvests and resets it at the barrier.
 	processed int
 
-	freeEv []*event
+	free   evPool
+	freeTx []*txTrace
 	pkts   pktArena
 }
 
-type xoutbox []xmsg
-
-// xmsg is one cross-shard delivery in flight: everything the receiving
-// shard needs to reconstruct the evSDeliver event with its canonical
-// (at, src, seq) key.
-type xmsg struct {
-	at       time.Duration // arrival time
-	txAt     time.Duration // transmission time (trace + fault windows)
-	src      int32         // sender lane
-	seq      uint64        // sender lane sequence
-	from     node.ID       // claimed link-layer sender
-	to       int32         // receiver graph index
-	pkt      []byte        // receiver's private payload copy
-	lossLost bool          // sender-side Config.Loss verdict
-}
-
-// cbKind discriminates buffered user-callback records. The kind is part
-// of the canonical replay key, so at equal times traces replay before
-// deaths before crashes.
+// cbKind discriminates buffered death and crash callbacks. The kind is
+// part of the canonical replay key, so at equal times deaths replay
+// before crashes.
 type cbKind uint8
 
 const (
-	cbTrace cbKind = iota
-	cbDeath
+	cbDeath cbKind = iota
 	cbCrash
 )
 
-// cbRec is one buffered user callback. The replay key is
-// (at, kind, src, seq, node); for traces (src, seq) is the delivery's
-// canonical key, for deaths and crashes node disambiguates.
+// cbRec is one buffered death or crash callback, replayed in
+// (at, kind, node) order.
 type cbRec struct {
 	kind cbKind
 	at   time.Duration
-	src  int32
-	seq  uint64
 	node int32
-	tr   TraceEvent
 }
 
-// setupShards switches the engine into shard mode. Called by New after
-// hosts are built, with the root RNG that seeds all streams.
-func (e *Engine) setupShards(root *xrand.RNG) error {
-	s := e.cfg.Shards
-	n := len(e.hosts)
-	if e.cfg.ShardOf != nil && len(e.cfg.ShardOf) != n {
-		return fmt.Errorf("sim: ShardOf has %d entries for %d nodes", len(e.cfg.ShardOf), n)
+func cmpCallback(a, b cbRec) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
 	}
-	e.sharded = true
-	e.root = root
-	e.lookahead = e.cfg.PropDelay
-	e.shards = make([]*shard, s)
-	for k := range e.shards {
-		sh := &shard{eng: e, id: k, out: make([]xoutbox, s)}
-		sh.pkts.disabled = e.cfg.DisablePooling
-		sh.pkts.poison = e.cfg.PoisonRecycled
-		if e.cfg.Faults != nil {
-			// Every replica splits the same faultStream label off the
-			// same root, so replicas are interchangeable: whichever
-			// shard evaluates a chain draws the same variates. The
-			// metrics registry get-or-creates by name, so all replicas
-			// share one set of counters.
-			sh.inj = faults.NewInjector(e.cfg.Faults, root.Split(faultStream))
-			sh.inj.SetMetrics(faults.NewMetrics(e.cfg.Obs.Registry()))
-			sh.inj.SetLocator(locatorFor(e.cfg.Graph))
-		}
-		e.shards[k] = sh
+	if c := cmp.Compare(a.kind, b.kind); c != 0 {
+		return c
 	}
-	e.shardOf = make([]int32, n)
-	for i, h := range e.hosts {
-		k := i * s / n
-		if e.cfg.ShardOf != nil {
-			k = e.cfg.ShardOf[i]
-			if k < 0 || k >= s {
-				return fmt.Errorf("sim: ShardOf[%d] = %d out of range [0,%d)", i, k, s)
-			}
-		}
-		e.shardOf[i] = int32(k)
-		h.sh = e.shards[k]
+	return cmp.Compare(a.node, b.node)
+}
+
+// txTrace is the trace record of one transmission, keyed like an event
+// on the sender's lane. With a fault plan every receiver gets a delivery,
+// numbered seq+1, seq+2, ... in neighbor order, so a delivery finds its
+// slot from its own lane sequence.
+type txTrace struct {
+	at   time.Duration // transmission time
+	last time.Duration // latest arrival whose fault verdict lands in lost
+	src  int32
+	seq  uint64
+	from node.ID
+	pkt  []byte
+	to   []int32 // the receivers, in neighbor order
+	lost []bool
+	// owner is the shard whose pool the record returns to.
+	owner *shard
+}
+
+func cmpTrace(a, b *txTrace) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
 	}
-	return nil
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+func newShard(e *Engine, id int) *shard {
+	s := &shard{eng: e, id: id, out: make([][]*event, len(e.shards))}
+	s.free.disabled = e.cfg.DisablePooling
+	s.pkts.disabled = e.cfg.DisablePooling
+	s.pkts.poison = e.cfg.PoisonRecycled
+	if e.cfg.Faults != nil {
+		// Every replica splits the same faultStream label off the same
+		// root, so replicas are interchangeable: whichever shard
+		// evaluates a chain draws the same variates. The metrics
+		// registry get-or-creates by name, so all replicas share one set
+		// of counters.
+		s.inj = faults.NewInjector(e.cfg.Faults, e.root.Split(faultStream))
+		s.inj.SetMetrics(faults.NewMetrics(e.cfg.Obs.Registry()))
+		s.inj.SetLocator(locatorFor(e.cfg.Graph))
+	}
+	return s
 }
 
 // mediumStream returns the host's private medium stream, splitting it
-// off the root on first use. Only used in shard mode.
+// off the root on first use.
 func (h *host) mediumStream() *xrand.RNG {
 	if h.med == nil {
 		h.med = h.eng.root.Split(mediumLaneBase + uint64(h.idx))
@@ -186,31 +191,8 @@ func (h *host) mediumStream() *xrand.RNG {
 // after coordinator time whenever the coordinator runs.
 func (e *Engine) syncShardClocks() {
 	for _, s := range e.shards {
-		if s.now < e.now {
-			s.now = e.now
-		}
+		s.now = max(s.now, e.now)
 	}
-}
-
-// newEvent takes an event record from the shard's free-list. Unlike the
-// legacy engine the canonical key is assigned by the caller, not a
-// global sequence.
-func (s *shard) newEvent() *event {
-	if last := len(s.freeEv) - 1; last >= 0 {
-		ev := s.freeEv[last]
-		s.freeEv[last] = nil
-		s.freeEv = s.freeEv[:last]
-		return ev
-	}
-	return &event{}
-}
-
-func (s *shard) recycle(ev *event) {
-	if s.eng.cfg.DisablePooling {
-		return
-	}
-	*ev = event{}
-	s.freeEv = append(s.freeEv, ev)
 }
 
 // pushHostEvent schedules an event on h's lane: the key is
@@ -218,7 +200,7 @@ func (s *shard) recycle(ev *event) {
 // operands on the returned event (the heap orders only by the key).
 func (s *shard) pushHostEvent(at time.Duration, h *host, kind eventKind) *event {
 	h.lseq++
-	ev := s.newEvent()
+	ev := s.free.get()
 	ev.at = at
 	ev.src = int32(h.idx)
 	ev.seq = h.lseq
@@ -228,11 +210,8 @@ func (s *shard) pushHostEvent(at time.Duration, h *host, kind eventKind) *event 
 	return ev
 }
 
-func (s *shard) bufferCallback(r cbRec) { s.cbs = append(s.cbs, r) }
-
 // runEpoch processes every pending event strictly before limit. It runs
-// on the shard's goroutine (or inline when S == 1 or during coordinator
-// injections).
+// on the shard's goroutine, or inline when S == 1.
 func (s *shard) runEpoch(limit time.Duration) {
 	n := 0
 	for len(s.queue) > 0 && s.queue[0].at < limit {
@@ -250,111 +229,132 @@ func (s *shard) dispatch(ev *event) {
 		if ev.h.alive {
 			ev.h.behavior.Start(ev.h)
 		}
-	case evSDeliver:
-		s.runSDeliver(ev)
+	case evArrive:
+		s.runArrive(ev)
 	case evRxEnd:
 		s.runRxEnd(ev.h, ev.from, ev.pkt, ev.rx)
 	case evTimer:
-		s.eng.runTimer(ev.h, ev.tid)
-	case evSCrash:
+		ev.h.runTimer(ev.tid)
+	case evCrash:
 		s.crash(ev.h)
-	case evSReboot:
+	case evReboot:
 		s.reboot(ev.h)
 	}
-	s.recycle(ev)
+	s.free.put(ev)
 }
 
 // deliverFrom fans a transmission from h's radio position out to every
-// neighbor: the shard-mode counterpart of Engine.deliverFrom. The
-// sender's private medium stream supplies exactly two variates (loss,
-// jitter) per receiver in neighbor order; in-shard receivers get heap
-// events directly, out-of-shard receivers get outbox records. Lost
-// packets still ship whenever a trace hook or fault plan needs to
-// observe the arrival (fault chains advance on every arrival, exactly
-// as the legacy engine consults the injector before the loss draw).
+// neighbor. Each receiver gets a private arena copy, so neither the
+// sender's later reuse of its buffer nor another receiver's in-place
+// mutation can corrupt a delivery — the same isolation a real radio
+// provides; the copy returns to the arena when Receive returns.
+//
+// The sender's private medium stream supplies exactly two variates
+// (loss, jitter) per receiver in neighbor order, lost or not, so loss
+// outcomes never shift later draws. In-shard receivers get heap events
+// directly, out-of-shard receivers get outbox entries. A packet lost to
+// Config.Loss still ships when a fault plan is set, because fault chains
+// advance on every arrival.
 func (s *shard) deliverFrom(h *host, from node.ID, pkt []byte) {
 	e := s.eng
 	txAt := s.now
 	med := h.mediumStream()
-	keepLost := e.cfg.Trace != nil || s.inj != nil
-	for _, nb := range e.cfg.Graph.Neighbors(h.idx) {
+	jit := e.cfg.Jitter
+	if s.inj != nil && jit > 0 {
+		jit = time.Duration(float64(jit) * s.inj.JitterScale(txAt))
+	}
+	nbs := e.cfg.Graph.Neighbors(h.idx)
+	var tr *txTrace
+	if e.cfg.Trace != nil {
+		tr = s.newTrace(h, from, pkt, nbs)
+	}
+	for k, nb := range nbs {
 		lost := e.cfg.Loss > 0 && med.Bool(e.cfg.Loss)
 		delay := e.cfg.PropDelay
-		if jit := s.scaledJitter(txAt); jit > 0 {
+		if jit > 0 {
 			delay += time.Duration(med.Uint64n(uint64(jit)))
 		}
-		if lost && !keepLost {
-			e.m.lost.Inc()
-			continue
+		if lost {
+			if tr != nil {
+				tr.lost[k] = true
+			}
+			if s.inj == nil {
+				e.m.lost.Inc()
+				continue
+			}
 		}
 		copied := s.pkts.get(len(pkt))
 		copy(copied, pkt)
 		h.lseq++
-		rcv := e.hosts[nb]
-		if dst := rcv.sh; dst != s {
-			s.out[dst.id] = append(s.out[dst.id], xmsg{
-				at:       txAt + delay,
-				txAt:     txAt,
-				src:      int32(h.idx),
-				seq:      h.lseq,
-				from:     from,
-				to:       nb,
-				pkt:      copied,
-				lossLost: lost,
-			})
-			continue
-		}
-		ev := s.newEvent()
+		ev := s.free.get()
 		ev.at = txAt + delay
 		ev.src = int32(h.idx)
 		ev.seq = h.lseq
-		ev.kind = evSDeliver
+		ev.kind = evArrive
+		rcv := e.hosts[nb]
 		ev.h = rcv
 		ev.from = from
 		ev.pkt = copied
 		ev.txAt = txAt
 		ev.lossLost = lost
+		if tr != nil && s.inj != nil {
+			ev.tr = tr
+			tr.last = max(tr.last, ev.at)
+		}
+		if dst := rcv.sh; dst != s {
+			s.out[dst.id] = append(s.out[dst.id], ev)
+			continue
+		}
 		s.queue.push(ev)
 	}
 }
 
-// scaledJitter mirrors Engine.scaledJitter against the shard's injector
-// replica. JitterScale is a pure function of the plan and the
-// transmission time, so replicas agree.
-func (s *shard) scaledJitter(at time.Duration) time.Duration {
-	jit := s.eng.cfg.Jitter
-	if s.inj != nil && jit > 0 {
-		jit = time.Duration(float64(jit) * s.inj.JitterScale(at))
+// newTrace starts the trace record of a transmission from h's lane to
+// the receivers nbs.
+func (s *shard) newTrace(h *host, from node.ID, pkt []byte, nbs []int32) *txTrace {
+	var tr *txTrace
+	if last := len(s.freeTx) - 1; last >= 0 {
+		tr = s.freeTx[last]
+		s.freeTx[last] = nil
+		s.freeTx = s.freeTx[:last]
+	} else {
+		tr = &txTrace{owner: s}
 	}
-	return jit
+	h.lseq++
+	tr.at, tr.last, tr.src, tr.seq, tr.from = s.now, s.now, int32(h.idx), h.lseq, from
+	tr.pkt = append(tr.pkt[:0], pkt...)
+	tr.to = append(tr.to[:0], nbs...)
+	tr.lost = append(tr.lost[:0], make([]bool, len(nbs))...)
+	s.txs = append(s.txs, tr)
+	return tr
 }
 
-// runSDeliver completes one delivery on the receiver's shard: the
+// recycleTrace returns a replayed record to its pool.
+func (s *shard) recycleTrace(tr *txTrace) {
+	if s.eng.cfg.DisablePooling {
+		return
+	}
+	if s.pkts.poison {
+		poison(tr.pkt)
+	}
+	s.freeTx = append(s.freeTx, tr)
+}
+
+// runArrive completes one delivery on the receiver's shard: the
 // fault-plan verdict is decided here, in canonical arrival order, then
-// the packet is traced, dropped, handed to the collision model, or
-// delivered.
-func (s *shard) runSDeliver(ev *event) {
+// the packet is dropped, handed to the collision model, or delivered.
+// Losses come first, so a lost packet never occupies the receiver's
+// radio and can never collide with another reception
+// (TestLossBeforeCollision*).
+func (s *shard) runArrive(ev *event) {
 	e := s.eng
 	rcv := ev.h
 	lost := ev.lossLost
 	if s.inj != nil && s.inj.Drop(ev.txAt, int(ev.src), rcv.idx) {
 		lost = true
-	}
-	if e.cfg.Trace != nil {
-		s.bufferCallback(cbRec{
-			kind: cbTrace,
-			at:   ev.txAt,
-			src:  ev.src,
-			seq:  ev.seq,
-			tr: TraceEvent{
-				At:   ev.txAt,
-				From: ev.from,
-				To:   rcv.id,
-				Size: len(ev.pkt),
-				Lost: lost,
-				Pkt:  append([]byte(nil), ev.pkt...),
-			},
-		})
+		if tr := ev.tr; tr != nil {
+			tr.lost[ev.seq-tr.seq-1] = true
+		}
 	}
 	if lost {
 		e.m.lost.Inc()
@@ -377,16 +377,12 @@ func (s *shard) runSDeliver(ev *event) {
 		end.rx = rx
 		return
 	}
-	if rcv.alive {
-		e.m.rx.Inc()
-		rcv.meter.ChargeRx(e.cfg.Energy, len(ev.pkt))
-		rcv.behavior.Receive(rcv, ev.from, ev.pkt)
-		e.checkBattery(rcv)
-	}
-	s.pkts.put(ev.pkt)
+	s.receive(rcv, ev.from, ev.pkt)
 }
 
-// rxBegin mirrors Engine.runRxBegin on the shard clock.
+// rxBegin implements the half-duplex collision model: the packet
+// occupies rcv's radio from arrival until arrival+airtime; if it overlaps
+// another reception, both are corrupted and neither is delivered.
 func (s *shard) rxBegin(rcv *host, rx *reception) {
 	if !rcv.alive {
 		return
@@ -401,17 +397,29 @@ func (s *shard) rxBegin(rcv *host, rx *reception) {
 		rcv.collisions++
 		s.eng.m.collisions.Inc()
 		if rx.endsAt > cur.endsAt {
-			rcv.rxCurrent = rx
+			rcv.rxCurrent = rx // radio stays jammed until the longer one ends
 		}
 		return
 	}
 	rcv.rxCurrent = rx
 }
 
-// runRxEnd mirrors Engine.runRxEnd against the shard's arena.
+// runRxEnd delivers a collidable reception that survived its airtime.
+// Receive energy is charged only for packets that decode — corrupted
+// receptions are dropped before the full-packet receive cost.
 func (s *shard) runRxEnd(rcv *host, from node.ID, pkt []byte, rx *reception) {
+	if rx.corrupt {
+		s.pkts.put(pkt)
+		return
+	}
+	s.receive(rcv, from, pkt)
+}
+
+// receive hands an intact packet to a live receiver and reclaims the
+// buffer once the callback is done with it.
+func (s *shard) receive(rcv *host, from node.ID, pkt []byte) {
 	e := s.eng
-	if rcv.alive && !rx.corrupt {
+	if rcv.alive {
 		e.m.rx.Inc()
 		rcv.meter.ChargeRx(e.cfg.Energy, len(pkt))
 		rcv.behavior.Receive(rcv, from, pkt)
@@ -420,7 +428,7 @@ func (s *shard) runRxEnd(rcv *host, from node.ID, pkt []byte, rx *reception) {
 	s.pkts.put(pkt)
 }
 
-// crash is the fault plan's node failure on the owning shard; the
+// crash is the fault model's node failure on the owning shard; the
 // OnCrash callback is buffered for canonical replay.
 func (s *shard) crash(h *host) {
 	e := s.eng
@@ -433,13 +441,12 @@ func (s *shard) crash(h *host) {
 	e.m.crashes.Inc()
 	e.cfg.Obs.Emit(s.now, obs.KindCrash, h.idx, 0, "")
 	if e.cfg.OnCrash != nil {
-		s.bufferCallback(cbRec{kind: cbCrash, at: s.now, node: int32(h.idx)})
+		s.cbs = append(s.cbs, cbRec{kind: cbCrash, at: s.now, node: int32(h.idx)})
 	}
 }
 
-// reboot revives a crashed node on the owning shard, mirroring
-// Engine.Reboot; the restart callback runs in shard context with the
-// shard clock already at the event time.
+// reboot revives a crashed node on the owning shard; the restart
+// callback runs with the shard clock at the reboot time.
 func (s *shard) reboot(h *host) {
 	e := s.eng
 	if h.alive || h.behavior == nil || !h.started {
@@ -455,32 +462,16 @@ func (s *shard) reboot(h *host) {
 	h.behavior.Start(h)
 }
 
-// runSharded is the coordinator loop: compute the epoch limit from the
-// globally earliest pending event plus the lookahead, run every shard
-// up to it (concurrently for S > 1), then exchange mailboxes and replay
-// callbacks at the barrier. Coordinator events (Schedule/Do closures)
-// run between epochs, before shard events at equal times.
-func (e *Engine) runSharded(until time.Duration, drainAll bool, maxEvents int) (int, error) {
-	nShards := len(e.shards)
-	var starts []chan time.Duration
-	var done chan struct{}
-	if nShards > 1 {
-		starts = make([]chan time.Duration, nShards)
-		done = make(chan struct{}, nShards)
-		for k := range e.shards {
-			starts[k] = make(chan time.Duration)
-			go func(s *shard, start <-chan time.Duration) {
-				for limit := range start {
-					s.runEpoch(limit)
-					done <- struct{}{}
-				}
-			}(e.shards[k], starts[k])
-		}
-		defer func() {
-			for _, c := range starts {
-				close(c)
-			}
-		}()
+// run is the coordinator loop: compute the epoch limit from the
+// globally earliest pending event plus the lookahead, run every shard up
+// to it, then exchange mailboxes and replay callbacks at the barrier.
+// Coordinator events (Schedule/Do closures) run between epochs, before
+// shard events at equal times.
+func (e *Engine) run(until time.Duration, drainAll bool, maxEvents int) (int, error) {
+	var w *workers
+	if len(e.shards) > 1 {
+		w = startWorkers(e.shards)
+		defer w.stop()
 	}
 	total := 0
 	for {
@@ -490,18 +481,12 @@ func (e *Engine) runSharded(until time.Duration, drainAll bool, maxEvents int) (
 		}
 		st := maxTime // earliest shard event
 		for _, s := range e.shards {
-			if len(s.queue) > 0 && s.queue[0].at < st {
-				st = s.queue[0].at
+			if len(s.queue) > 0 {
+				st = min(st, s.queue[0].at)
 			}
 		}
-		m := gt
-		if st < m {
-			m = st
-		}
-		if m == maxTime {
-			break // idle
-		}
-		if !drainAll && m > until {
+		m := min(gt, st)
+		if m == maxTime || (!drainAll && m > until) {
 			break
 		}
 		if gt <= st {
@@ -512,64 +497,40 @@ func (e *Engine) runSharded(until time.Duration, drainAll bool, maxEvents int) (
 			e.syncShardClocks()
 			for len(e.queue) > 0 && e.queue[0].at == gt {
 				ev := e.queue.pop()
-				e.dispatch(ev)
+				ev.fn()
+				e.free.put(ev)
 				total++
 				e.m.events.Inc()
 			}
-			e.exchange()
-			e.flushCallbacks()
-			if maxEvents > 0 && total > maxEvents {
-				return total, fmt.Errorf("sim: exceeded %d events; protocol not quiescing", maxEvents)
-			}
-			continue
-		}
-		limit := st + e.lookahead
-		if gt < limit {
-			limit = gt
-		}
-		if !drainAll {
-			if hi := until + 1; hi > 0 && limit > hi {
-				limit = hi
-			}
-		}
-		if nShards > 1 {
-			for _, c := range starts {
-				c <- limit
-			}
-			if e.m.stall != nil {
-				<-done
-				firstDone := time.Now()
-				for i := 1; i < nShards; i++ {
-					<-done
-				}
-				e.m.stall.Observe(time.Since(firstDone).Seconds())
-			} else {
-				for i := 0; i < nShards; i++ {
-					<-done
-				}
-			}
+			e.barrier(gt)
 		} else {
-			e.shards[0].runEpoch(limit)
-		}
-		epochEvents, busiest := 0, 0
-		for _, s := range e.shards {
-			if s.processed > busiest {
-				busiest = s.processed
+			// PropDelay is the lookahead: no delivery arrives sooner.
+			limit := min(st+e.cfg.PropDelay, gt)
+			if !drainAll {
+				if hi := until + 1; hi > 0 {
+					limit = min(limit, hi)
+				}
 			}
-			epochEvents += s.processed
-			s.processed = 0
-			if s.now > e.now {
-				e.now = s.now
+			if w != nil {
+				w.epoch(limit, e.m.stall)
+			} else {
+				e.shards[0].runEpoch(limit)
 			}
+			epochEvents, busiest := 0, 0
+			for _, s := range e.shards {
+				busiest = max(busiest, s.processed)
+				epochEvents += s.processed
+				s.processed = 0
+				e.now = max(e.now, s.now)
+			}
+			total += epochEvents
+			e.m.events.Add(uint64(epochEvents))
+			e.m.epochs.Inc()
+			if busiest > 0 {
+				e.m.util.Observe(float64(epochEvents) / float64(len(e.shards)*busiest))
+			}
+			e.barrier(limit)
 		}
-		total += epochEvents
-		e.m.events.Add(uint64(epochEvents))
-		e.m.epochs.Inc()
-		if busiest > 0 {
-			e.m.util.Observe(float64(epochEvents) / float64(nShards*busiest))
-		}
-		e.exchange()
-		e.flushCallbacks()
 		if maxEvents > 0 && total > maxEvents {
 			return total, fmt.Errorf("sim: exceeded %d events; protocol not quiescing", maxEvents)
 		}
@@ -580,86 +541,137 @@ func (e *Engine) runSharded(until time.Duration, drainAll bool, maxEvents int) (
 	return total, nil
 }
 
-// exchange drains every shard's outboxes into the target shards' heaps.
-// It runs on the coordinator with all shards at the barrier, so pushing
-// into a foreign heap (and taking records from the foreign free-list)
-// is safe. Heap order depends only on the canonical keys the messages
-// carry, so the drain order does not matter.
-func (e *Engine) exchange() {
-	for _, src := range e.shards {
-		for t := range src.out {
-			msgs := src.out[t]
-			if len(msgs) == 0 {
-				continue
+// workers runs each shard's epochs on a goroutine of its own, for the
+// length of one run.
+type workers struct {
+	starts []chan time.Duration
+	done   chan struct{}
+}
+
+func startWorkers(shards []*shard) *workers {
+	w := &workers{
+		starts: make([]chan time.Duration, len(shards)),
+		done:   make(chan struct{}, len(shards)),
+	}
+	for k, s := range shards {
+		start := make(chan time.Duration)
+		w.starts[k] = start
+		go func() {
+			for limit := range start {
+				s.runEpoch(limit)
+				w.done <- struct{}{}
 			}
-			dst := e.shards[t]
-			for i := range msgs {
-				m := &msgs[i]
-				ev := dst.newEvent()
-				ev.at = m.at
-				ev.src = m.src
-				ev.seq = m.seq
-				ev.kind = evSDeliver
-				ev.h = e.hosts[m.to]
-				ev.from = m.from
-				ev.pkt = m.pkt
-				ev.txAt = m.txAt
-				ev.lossLost = m.lossLost
-				dst.queue.push(ev)
-				msgs[i] = xmsg{}
-			}
-			e.m.xmsgs.Add(uint64(len(msgs)))
-			src.out[t] = msgs[:0]
-		}
+		}()
+	}
+	return w
+}
+
+// epoch runs every shard up to limit and waits for all of them. stall,
+// if non-nil, observes the wall-clock spread between the first and the
+// last shard finishing.
+func (w *workers) epoch(limit time.Duration, stall *obs.Histogram) {
+	for _, c := range w.starts {
+		c <- limit
+	}
+	<-w.done
+	var first time.Time
+	if stall != nil {
+		first = time.Now()
+	}
+	for i := 1; i < len(w.starts); i++ {
+		<-w.done
+	}
+	if stall != nil {
+		stall.Observe(time.Since(first).Seconds())
 	}
 }
 
-// flushCallbacks replays buffered user callbacks on the coordinator in
-// canonical (at, kind, src, seq, node) order. Keys are unique — traces
-// carry the delivery key, deaths and crashes the node index — so the
-// replay order is a pure function of the run.
-func (e *Engine) flushCallbacks() {
-	total := 0
-	for _, s := range e.shards {
-		total += len(s.cbs)
+func (w *workers) stop() {
+	for _, c := range w.starts {
+		close(c)
 	}
-	if total == 0 {
+}
+
+// barrier runs on the coordinator with every shard parked and every
+// event before frontier done: it drains the outboxes into the target
+// heaps, then replays buffered callbacks. Heap order depends only on the
+// canonical keys, so the drain order does not matter.
+func (e *Engine) barrier(frontier time.Duration) {
+	for _, src := range e.shards {
+		for t, evs := range src.out {
+			if len(evs) == 0 {
+				continue
+			}
+			dst := e.shards[t]
+			for i, ev := range evs {
+				dst.queue.push(ev)
+				evs[i] = nil
+			}
+			e.m.xmsgs.Add(uint64(len(evs)))
+			src.out[t] = evs[:0]
+		}
+	}
+	e.flushCallbacks(frontier)
+}
+
+// flushCallbacks replays buffered user callbacks on the coordinator.
+// Deaths and crashes replay in (at, kind, node) order. A trace record is
+// ready once its last arrival precedes frontier; ready records replay in
+// (at, src, seq) order up to the first one still waiting, which holds
+// back every later record. Every future transmission happens at or
+// after frontier, later than any record replayed here, so the Trace
+// stream never steps back in time. At equal times a transmission's
+// deliveries replay before deaths and crashes.
+func (e *Engine) flushCallbacks(frontier time.Duration) {
+	cbs := e.cbScratch[:0]
+	added := false
+	for _, s := range e.shards {
+		cbs = append(cbs, s.cbs...)
+		s.cbs = s.cbs[:0]
+		if len(s.txs) > 0 {
+			e.traces = append(e.traces, s.txs...)
+			clear(s.txs)
+			s.txs = s.txs[:0]
+			added = true
+		}
+	}
+	if len(cbs) == 0 && len(e.traces) == 0 {
 		return
 	}
-	buf := e.cbScratch[:0]
-	for _, s := range e.shards {
-		buf = append(buf, s.cbs...)
-		s.cbs = s.cbs[:0]
+	slices.SortFunc(cbs, cmpCallback)
+	if added {
+		slices.SortFunc(e.traces, cmpTrace)
 	}
-	sort.Slice(buf, func(i, j int) bool {
-		a, b := &buf[i], &buf[j]
-		if a.at != b.at {
-			return a.at < b.at
+	ready := 0
+	for ready < len(e.traces) && e.traces[ready].last < frontier {
+		ready++
+	}
+	i := 0
+	for _, r := range cbs {
+		for ; i < ready && e.traces[i].at <= r.at; i++ {
+			e.replayTrace(e.traces[i])
 		}
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		if a.seq != b.seq {
-			return a.seq < b.seq
-		}
-		return a.node < b.node
-	})
-	for i := range buf {
-		r := &buf[i]
-		switch r.kind {
-		case cbTrace:
-			e.cfg.Trace(r.tr)
-		case cbDeath:
+		if r.kind == cbDeath {
 			e.cfg.OnDeath(int(r.node), r.at)
-		case cbCrash:
+		} else {
 			e.cfg.OnCrash(int(r.node), r.at)
 		}
 	}
-	for i := range buf {
-		buf[i] = cbRec{} // release packet references
+	for ; i < ready; i++ {
+		e.replayTrace(e.traces[i])
 	}
-	e.cbScratch = buf[:0]
+	e.cbScratch = cbs[:0]
+	for _, tr := range e.traces[:ready] {
+		tr.owner.recycleTrace(tr)
+	}
+	n := copy(e.traces, e.traces[ready:])
+	clear(e.traces[n:])
+	e.traces = e.traces[:n]
+}
+
+// replayTrace reports one transmission's deliveries to the Trace hook.
+func (e *Engine) replayTrace(tr *txTrace) {
+	for k, to := range tr.to {
+		e.cfg.Trace(TraceEvent{At: tr.at, From: tr.from, To: node.ID(to), Size: len(tr.pkt), Lost: tr.lost[k], Pkt: tr.pkt})
+	}
 }

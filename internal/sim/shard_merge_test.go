@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/geom"
 	"repro/internal/node"
 	"repro/internal/topology"
@@ -68,15 +69,8 @@ func (s *stormNode) Timer(ctx node.Context, tag node.Tag) {
 	}
 }
 
-// stormTrace runs one storm and returns its full observable history:
-// the global trace in delivery order plus each node's private log.
-func stormTrace(t *testing.T, seed uint64, n, shards int, cfg Config) []string {
-	t.Helper()
-	rng := xrand.New(seed)
-	g, err := topology.Generate(rng, topology.Config{N: n, Density: 8, Metric: geom.Torus})
-	if err != nil {
-		t.Fatal(err)
-	}
+// newStorm builds n storm nodes with per-node streams derived from seed.
+func newStorm(seed uint64, n int) ([]*stormNode, []node.Behavior) {
 	nodes := make([]*stormNode, n)
 	behaviors := make([]node.Behavior, n)
 	for i := range nodes {
@@ -88,6 +82,19 @@ func stormTrace(t *testing.T, seed uint64, n, shards int, cfg Config) []string {
 		}
 		behaviors[i] = nodes[i]
 	}
+	return nodes, behaviors
+}
+
+// stormTrace runs one storm and returns its full observable history:
+// the global trace in delivery order plus each node's private log.
+func stormTrace(t *testing.T, seed uint64, n, shards int, cfg Config) []string {
+	t.Helper()
+	rng := xrand.New(seed)
+	g, err := topology.Generate(rng, topology.Config{N: n, Density: 8, Metric: geom.Torus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, behaviors := newStorm(seed, n)
 	var trace []string
 	cfg.Graph = g
 	cfg.Seed = seed
@@ -184,17 +191,7 @@ func TestShardAssignmentIrrelevance(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(shardOf []int) []string {
-		nodes := make([]*stormNode, g.N())
-		behaviors := make([]node.Behavior, g.N())
-		for i := range nodes {
-			nodes[i] = &stormNode{
-				idx:      i,
-				rng:      xrand.New(seed ^ uint64(i)*0x9e3779b97f4a7c15),
-				step:     5 * time.Millisecond,
-				maxTicks: 3,
-			}
-			behaviors[i] = nodes[i]
-		}
+		nodes, behaviors := newStorm(seed, g.N())
 		var trace []string
 		cfg := Config{
 			Graph: g, Seed: seed, Shards: 3, ShardOf: shardOf, Loss: 0.2,
@@ -221,4 +218,72 @@ func TestShardAssignmentIrrelevance(t *testing.T) {
 		roundRobin[i] = i % 3
 	}
 	diffTraces(t, "round-robin vs stripes", run(nil), run(roundRobin))
+}
+
+// TestTraceReplayInTransmissionOrder pins the Trace stream's shape: with
+// jitter wider than the epoch, so one broadcast's arrivals straddle
+// barriers, and a burst-loss plan, whose verdicts land at the receivers,
+// the hook sees transmission times that never step back, and each
+// broadcast's deliveries together and in neighbor order.
+func TestTraceReplayInTransmissionOrder(t *testing.T) {
+	plan := &faults.Plan{Events: []faults.Event{
+		{Kind: faults.KindBurst, At: 10 * time.Millisecond, Until: 80 * time.Millisecond, PGB: 0.3, PBG: 0.4, LossGood: 0.05, LossBad: 0.7},
+	}}
+	for _, shards := range []int{1, 3} {
+		g, err := topology.Generate(xrand.New(5), topology.Config{N: 60, Density: 8, Metric: geom.Torus})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, behaviors := newStorm(5, g.N())
+		var trace []TraceEvent
+		eng, err := New(Config{
+			Graph: g, Seed: 5, Shards: shards, Loss: 0.1, Jitter: 3 * time.Millisecond, Faults: plan,
+			Trace: func(ev TraceEvent) { trace = append(trace, ev) },
+		}, behaviors)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Boot(0)
+		if _, err := eng.RunUntilIdle(0); err != nil {
+			t.Fatal(err)
+		}
+		want, lost := 0, 0
+		for i := 0; i < g.N(); i++ {
+			want += eng.Meter(i).TxCount() * len(g.Neighbors(i))
+		}
+		if len(trace) != want {
+			t.Fatalf("shards=%d: %d trace events, want one per (transmission, neighbor) = %d", shards, len(trace), want)
+		}
+		done := map[[2]int64]bool{} // (At, From) runs already closed
+		for i := 0; i < len(trace); {
+			ev := trace[i]
+			if i > 0 && ev.At < trace[i-1].At {
+				t.Fatalf("shards=%d: trace steps back from %v to %v at %d", shards, trace[i-1].At, ev.At, i)
+			}
+			key := [2]int64{int64(ev.At), int64(ev.From)}
+			if done[key] {
+				t.Fatalf("shards=%d: broadcast from %d at %v split across the trace", shards, ev.From, ev.At)
+			}
+			done[key] = true
+			// A run of one sender's transmissions at one time: whole
+			// neighbor lists, back to back.
+			nbs := g.Neighbors(int(ev.From))
+			j := i
+			for ; j < len(trace) && trace[j].At == ev.At && trace[j].From == ev.From; j++ {
+				if k := (j - i) % len(nbs); trace[j].To != node.ID(nbs[k]) {
+					t.Fatalf("shards=%d: delivery %d of the broadcast from %d went to %d, want neighbor %d", shards, j-i, ev.From, trace[j].To, nbs[k])
+				}
+				if trace[j].Lost {
+					lost++
+				}
+			}
+			if (j-i)%len(nbs) != 0 {
+				t.Fatalf("shards=%d: broadcast from %d at %v traced %d deliveries for %d neighbors", shards, ev.From, ev.At, j-i, len(nbs))
+			}
+			i = j
+		}
+		if lost == 0 || lost == len(trace) {
+			t.Fatalf("shards=%d: %d of %d deliveries lost; the plan and Loss should drop some, not all", shards, lost, len(trace))
+		}
+	}
 }

@@ -1,11 +1,12 @@
 // Package sim is a deterministic discrete-event simulator for broadcast
 // sensor networks — the replacement for the paper's SensorSimII testbed.
 //
-// The engine owns a virtual clock and a binary-heap event queue; node
+// The engine owns a virtual clock and binary-heap event queues; node
 // behaviors (internal/node.Behavior) run sequentially as their messages and
 // timers fire, so a run is a pure function of the configuration seed.
-// Event-time ties are broken by insertion sequence, which makes runs
-// bit-reproducible across machines.
+// Event-time ties are broken by a canonical (time, source lane, lane
+// sequence) key, which makes runs bit-reproducible across machines and
+// across every Config.Shards setting (see shard.go).
 //
 // The radio model is a broadcast medium over a unit-disk topology: one
 // transmission reaches every graph neighbor after a propagation delay plus
@@ -23,9 +24,8 @@
 // hook) is owned by the engine and valid only until that callback returns;
 // code that needs the bytes longer must copy them. Config.PoisonRecycled
 // turns violations into loud test failures, and Config.DisablePooling
-// restores the old allocate-per-delivery behavior for A/B comparison —
-// both engines produce byte-identical runs for any behavior honoring the
-// contract.
+// allocates fresh memory for every record instead — both produce
+// byte-identical runs for any behavior honoring the contract.
 package sim
 
 import (
@@ -87,22 +87,25 @@ type Config struct {
 	// randomness comes from a stream split off Seed, so (Seed, Faults)
 	// fully determines the run.
 	Faults *faults.Plan
-	// OnCrash, if non-nil, observes plan-scheduled node crashes.
+	// OnCrash, if non-nil, observes node crashes (plan-scheduled or
+	// through Engine.Crash).
 	OnCrash func(i int, at time.Duration)
-	// Trace, if non-nil, observes every packet delivery attempt.
+	// Trace, if non-nil, observes every packet delivery attempt. A
+	// transmission's deliveries are reported together, in neighbor
+	// order, once every receiver has decided its fate; transmissions are
+	// reported in non-decreasing transmission time.
 	Trace func(ev TraceEvent)
 	// Obs, if non-nil, attaches the observability subsystem: medium and
 	// engine counters plus crash/reboot events, labeled with the scope's
 	// run/trial. Instrumentation draws no randomness and takes no
 	// protocol-visible branches, so enabling it never changes a run.
 	Obs *obs.Scope
-	// DisablePooling turns off the engine's event free-list and packet
-	// arena, making every delivery allocate fresh memory as the
-	// pre-pooling engine did. Pooling is invisible to any behavior that
-	// honors the buffer-ownership contract (see the package comment), so
-	// this switch exists only for the equivalence tests that pin a
-	// pooled and an unpooled engine to byte-identical runs, and as a
-	// debugging escape hatch.
+	// DisablePooling turns off the engine's event free-lists, packet
+	// arenas and trace-record reuse, making every delivery allocate fresh
+	// memory. Pooling is invisible to any behavior that honors the
+	// buffer-ownership contract (see the package comment), so this
+	// switch exists as the reference the pool-equivalence tests pin
+	// pooled runs against, and as a debugging escape hatch.
 	DisablePooling bool
 	// PoisonRecycled overwrites every recycled packet buffer with 0xDB
 	// before reuse. A behavior or trace hook that illegally retains a
@@ -110,80 +113,69 @@ type Config struct {
 	// diverges, turning silent use-after-recycle bugs into loud test
 	// failures. Ignored when DisablePooling is set.
 	PoisonRecycled bool
-	// Shards, when >= 1, runs the trial on the intra-trial sharded
-	// engine: nodes are partitioned into Shards groups, each group's
-	// event heap advances on its own goroutine in conservative epochs of
-	// width PropDelay (the minimum radio latency, hence a safe
-	// lookahead), and cross-shard deliveries travel through per-epoch
-	// mailboxes. Shard mode uses a shard-count-invariant determinism
-	// contract — per-sender medium streams and a canonical
-	// (time, source lane, lane sequence) event order — so the output is
-	// byte-identical at every Shards >= 1 (Shards=1 is the serial escape
-	// hatch, running the same contract on the calling goroutine).
-	// Shards=0 (the default) keeps the legacy single-heap engine, whose
-	// output all pre-sharding golden tests pin. Switching between 0 and
-	// >=1 is output-affecting, like changing a seed salt; see
-	// docs/SCALING.md and docs/DETERMINISM.md.
+	// Shards is how many goroutines advance the run. Nodes are
+	// partitioned into Shards groups, each group's event heap advances
+	// on its own goroutine in conservative epochs of width PropDelay
+	// (the minimum radio latency, hence a safe lookahead), and
+	// cross-shard deliveries travel through per-epoch mailboxes. 0 and 1
+	// both run the single shard inline on the calling goroutine. Shards
+	// is a pure parallelism setting: the output is byte-identical at
+	// every value (see docs/SCALING.md and docs/DETERMINISM.md).
 	Shards int
 	// ShardOf optionally assigns each graph node to a shard (len N(),
-	// values in [0, Shards)). Nil assigns contiguous index ranges;
-	// core.Deploy passes a spatial stripe assignment built from the
-	// deployment geometry so most radio neighborhoods stay intra-shard.
-	// The assignment affects only performance, never output: the shard
-	// contract is invariant to where the cuts fall.
+	// values in [0, max(Shards, 1))). Nil assigns contiguous index
+	// ranges; core.Deploy passes a spatial stripe assignment built from
+	// the deployment geometry so most radio neighborhoods stay
+	// intra-shard. The assignment affects only performance, never
+	// output: the shard contract is invariant to where the cuts fall.
 	ShardOf []int
 }
 
 // TraceEvent describes one packet delivery attempt for debugging and the
 // message-accounting experiments.
 type TraceEvent struct {
+	// At is the transmission time.
 	At   time.Duration
 	From node.ID
 	To   node.ID
 	Size int
 	Lost bool
-	// Pkt is the raw packet. It aliases an engine-owned buffer (the
-	// sender's, which may itself be recycled protocol scratch) and is
-	// only valid for the duration of the trace callback; hooks that need
-	// it later must copy. Config.PoisonRecycled exists to catch hooks
-	// that violate this.
+	// Pkt is the raw packet. It aliases an engine-owned copy shared by
+	// the transmission's deliveries and is only valid for the duration
+	// of the trace callback; hooks that need it later must copy.
+	// Config.PoisonRecycled exists to catch hooks that violate this.
 	Pkt []byte
 }
 
 // Engine is the discrete-event simulator. It is not safe for concurrent
 // use; the goroutine runtime lives in internal/live.
+//
+// Events live on lanes. Each host's lane holds its starts, timers,
+// deliveries it sent, crashes and reboots, on the owning shard's heap;
+// the coordinator lane holds Schedule/Do closures, which run between
+// epochs and before shard events at equal times. See shard.go.
 type Engine struct {
-	cfg    Config
-	now    time.Duration
-	seq    uint64
-	queue  eventQueue
-	hosts  []*host
-	medium *xrand.RNG
-	inj    *faults.Injector
-	m      simMetrics
-
-	// freeEv is the event free-list: every dispatched event returns here
-	// and is reused by the next push, so the steady-state event loop
-	// stops allocating. pkts recycles the per-receiver delivery copies
-	// under the same discipline.
-	freeEv []*event
-	pkts   pktArena
+	cfg   Config
+	now   time.Duration
+	seq   uint64     // coordinator lane sequence
+	queue eventQueue // coordinator lane
+	free  evPool     // coordinator event records
+	hosts []*host
+	m     simMetrics
 
 	// keys is the keyed-sealer table every host shares, across all
-	// shards in shard mode.
+	// shards.
 	keys *crypt.Keyring
 
-	// Shard-mode state (Config.Shards >= 1; see shard.go). root is kept
-	// so per-sender medium streams can be split lazily; lookahead is the
-	// conservative epoch width (= PropDelay, the minimum cross-shard
-	// delivery latency). In shard mode e.queue holds only coordinator
-	// (global) events — Schedule/Do closures — which run between epochs.
-	sharded   bool
-	root      *xrand.RNG
-	lookahead time.Duration
-	shards    []*shard
-	shardOf   []int32
+	// root is kept so per-sender medium streams can be split lazily.
+	root   *xrand.RNG
+	shards []*shard
+
+	// cbScratch and traces hold buffered user callbacks between
+	// barriers: traces keeps the trace records not yet replayed, in
+	// canonical order.
 	cbScratch []cbRec
+	traces    []*txTrace
 }
 
 // simMetrics holds the engine's counters. With observability off every
@@ -199,7 +191,7 @@ type simMetrics struct {
 	reboots    *obs.Counter
 	deaths     *obs.Counter
 
-	// Shard-mode instrumentation.
+	// Scheduler instrumentation.
 	epochs *obs.Counter
 	xmsgs  *obs.Counter
 	stall  *obs.Histogram
@@ -225,58 +217,82 @@ func newSimMetrics(r *obs.Registry) simMetrics {
 }
 
 // faultStream is the Split label of the fault injector's RNG. Node i uses
-// label 1+i and the medium uses 0, so any label above every representable
-// node index is free.
+// label 1+i for its private stream and mediumLaneBase+i for its medium
+// stream, so any label above every representable node index and below
+// mediumLaneBase is free.
 const faultStream = uint64(1) << 40
 
-// mediumLaneBase is the Split label base for shard mode's per-sender
-// medium streams: sender i draws its loss and jitter variates from
-// Split(mediumLaneBase + i) instead of the legacy shared Split(0) stream.
-// Per-sender streams are what make the radio randomness independent of
-// the global interleaving of transmissions — the heart of the
-// shard-count-invariance contract.
+// mediumLaneBase is the Split label base for the per-sender medium
+// streams: sender i draws its loss and jitter variates from
+// Split(mediumLaneBase + i). Per-sender streams are what make the radio
+// randomness independent of the global interleaving of transmissions —
+// the heart of the shard-count-invariance contract.
 const mediumLaneBase = uint64(1) << 41
 
 // eventKind discriminates the engine's typed events. The hot-path kinds
-// (delivery, timer, collidable reception) carry their operands in the
-// event record itself instead of a freshly allocated closure, which is
-// what lets the free-list make the event loop allocation-free.
+// (delivery, timer, end of airtime) carry their operands in the event
+// record itself instead of a freshly allocated closure, which is what
+// lets the free-lists make the event loop allocation-free.
 type eventKind uint8
 
 const (
-	evFunc    eventKind = iota // generic scheduled function (Schedule, Boot)
-	evDeliver                  // collision-free packet delivery to h
-	evRxBegin                  // collision model: packet starts occupying h's radio
-	evRxEnd                    // collision model: airtime over, deliver if intact
-	evTimer                    // behavior timer tid on h
-
-	// Shard-mode kinds (see shard.go). They carry the canonical
-	// (at, src, seq) ordering key instead of the legacy global sequence.
-	evStart    // behavior Start on h at boot time
-	evSDeliver // shard delivery: fault-drop decided receiver-side at arrival
-	evSCrash   // fault-plan crash of h
-	evSReboot  // fault-plan reboot of h
+	evFunc   eventKind = iota // coordinator closure (Schedule, Do)
+	evStart                   // behavior Start on h at boot time
+	evArrive                  // delivery: fault drop decided receiver-side at arrival
+	evRxEnd                   // collision model: airtime over, deliver if intact
+	evTimer                   // behavior timer tid on h
+	evCrash                   // fault-plan crash of h
+	evReboot                  // fault-plan reboot of h
 )
 
 type event struct {
-	at   time.Duration
-	seq  uint64
-	kind eventKind
-	fn   func()
-	h    *host
+	// Queue key (see eventQueue): src is the owning lane — the graph
+	// index of the host whose counter issued seq, 0 on the coordinator
+	// lane.
+	at  time.Duration
+	seq uint64
+	src int32
+
 	from node.ID
+	kind eventKind
+	h    *host
+	fn   func()
+	tid  node.TimerID
 	pkt  []byte
 	rx   *reception
-	tid  node.TimerID
 
-	// Shard-mode key and payload extensions. src is the owning lane
-	// (the graph index of the host whose counter issued seq; always 0 on
-	// the legacy engine, so its queue key reduces to (at, seq)); txAt and
-	// lossLost carry a shard delivery's transmission time and sender-side
-	// Config.Loss outcome across the mailbox.
-	src      int32
-	txAt     time.Duration
+	// evArrive payload: the transmission time and sender-side
+	// Config.Loss verdict, and — when a trace hook and a fault plan are
+	// both set — the trace record the receiver's fault verdict lands in.
 	lossLost bool
+	txAt     time.Duration
+	tr       *txTrace
+}
+
+// evPool is an event free-list: every dispatched event returns here and
+// is reused by the next push, so the steady-state event loop stops
+// allocating.
+type evPool struct {
+	free     []*event
+	disabled bool
+}
+
+func (p *evPool) get() *event {
+	if last := len(p.free) - 1; last >= 0 {
+		ev := p.free[last]
+		p.free[last] = nil
+		p.free = p.free[:last]
+		return ev
+	}
+	return &event{}
+}
+
+func (p *evPool) put(ev *event) {
+	if p.disabled {
+		return
+	}
+	*ev = event{}
+	p.free = append(p.free, ev)
 }
 
 // pktArena recycles the per-receiver packet copies deliverFrom makes.
@@ -314,12 +330,17 @@ func (a *pktArena) put(b []byte) {
 		return
 	}
 	if a.poison {
-		b = b[:cap(b)]
-		for i := range b {
-			b[i] = 0xDB
-		}
+		poison(b)
 	}
 	a.free = append(a.free, b)
+}
+
+// poison overwrites b's whole capacity with 0xDB.
+func poison(b []byte) {
+	b = b[:cap(b)]
+	for i := range b {
+		b[i] = 0xDB
+	}
 }
 
 // host adapts one behavior to the engine and implements node.Context.
@@ -351,11 +372,11 @@ type host struct {
 	// stations).
 	immortal bool
 
-	// Shard-mode state: the owning shard, the lazily split per-sender
-	// medium stream, and the per-host lane sequence counter that
-	// tie-breaks this host's events in the canonical order. lseq is only
-	// ever touched by the owning shard's goroutine (or by the
-	// coordinator while every shard is at a barrier).
+	// The owning shard, the lazily split per-sender medium stream, and
+	// the lane sequence counter that tie-breaks this host's events in the
+	// canonical order. lseq is only ever touched by the owning shard's
+	// goroutine (or by the coordinator while every shard is at a
+	// barrier).
 	sh   *shard
 	med  *xrand.RNG
 	lseq uint64
@@ -375,8 +396,18 @@ func New(cfg Config, behaviors []node.Behavior) (*Engine, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("sim: Config.Graph is required")
 	}
-	if len(behaviors) != cfg.Graph.N() {
-		return nil, fmt.Errorf("sim: %d behaviors for %d graph nodes", len(behaviors), cfg.Graph.N())
+	n := cfg.Graph.N()
+	if len(behaviors) != n {
+		return nil, fmt.Errorf("sim: %d behaviors for %d graph nodes", len(behaviors), n)
+	}
+	if n > maxNodes {
+		return nil, fmt.Errorf("sim: %d graph nodes exceed the engine's %d", n, maxNodes)
+	}
+	if cfg.Shards < 0 {
+		return nil, fmt.Errorf("sim: negative Shards %d", cfg.Shards)
+	}
+	if cfg.ShardOf != nil && len(cfg.ShardOf) != n {
+		return nil, fmt.Errorf("sim: ShardOf has %d entries for %d nodes", len(cfg.ShardOf), n)
 	}
 	if cfg.PropDelay == 0 {
 		cfg.PropDelay = time.Millisecond
@@ -393,22 +424,30 @@ func New(cfg Config, behaviors []node.Behavior) (*Engine, error) {
 	root := xrand.New(cfg.Seed)
 	eng := &Engine{
 		cfg:    cfg,
-		medium: root.Split(0),
 		m:      newSimMetrics(cfg.Obs.Registry()),
 		keys:   crypt.NewKeyring(),
+		root:   root,
+		shards: make([]*shard, max(cfg.Shards, 1)),
 	}
-	eng.pkts.disabled = cfg.DisablePooling
-	eng.pkts.poison = cfg.PoisonRecycled
+	eng.free.disabled = cfg.DisablePooling
 	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(cfg.Graph.N()); err != nil {
+		if err := cfg.Faults.Validate(n); err != nil {
 			return nil, err
 		}
-		eng.inj = faults.NewInjector(cfg.Faults, root.Split(faultStream))
-		eng.inj.SetMetrics(faults.NewMetrics(cfg.Obs.Registry()))
-		eng.inj.SetLocator(locatorFor(cfg.Graph))
 	}
-	eng.hosts = make([]*host, len(behaviors))
+	s := len(eng.shards)
+	for k := range eng.shards {
+		eng.shards[k] = newShard(eng, k)
+	}
+	eng.hosts = make([]*host, n)
 	for i, b := range behaviors {
+		k := i * s / n
+		if cfg.ShardOf != nil {
+			k = cfg.ShardOf[i]
+			if k < 0 || k >= s {
+				return nil, fmt.Errorf("sim: ShardOf[%d] = %d out of range [0,%d)", i, k, s)
+			}
+		}
 		eng.hosts[i] = &host{
 			eng:      eng,
 			id:       node.ID(i),
@@ -416,11 +455,7 @@ func New(cfg Config, behaviors []node.Behavior) (*Engine, error) {
 			behavior: b,
 			rng:      root.Split(1 + uint64(i)),
 			alive:    b != nil,
-		}
-	}
-	if cfg.Shards > 0 {
-		if err := eng.setupShards(root); err != nil {
-			return nil, err
+			sh:       eng.shards[k],
 		}
 	}
 	return eng, nil
@@ -429,44 +464,15 @@ func New(cfg Config, behaviors []node.Behavior) (*Engine, error) {
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// newEvent takes an event record from the free-list (or allocates one)
-// and stamps it with the next tie-break sequence number.
-func (e *Engine) newEvent(at time.Duration) *event {
-	var ev *event
-	if last := len(e.freeEv) - 1; last >= 0 {
-		ev = e.freeEv[last]
-		e.freeEv[last] = nil
-		e.freeEv = e.freeEv[:last]
-	} else {
-		ev = &event{}
-	}
-	e.seq++
-	ev.at = at
-	ev.seq = e.seq
-	return ev
-}
-
-// recycle clears a dispatched event and returns it to the free-list.
-func (e *Engine) recycle(ev *event) {
-	if e.cfg.DisablePooling {
-		return
-	}
-	*ev = event{}
-	e.freeEv = append(e.freeEv, ev)
-}
-
 // Schedule runs fn at the given absolute virtual time (or immediately next
-// if t is in the past). External actors — experiment scripts, the
-// adversary — use this to interleave with protocol events.
+// if t is in the past) on the coordinator lane. External actors —
+// experiment scripts, the adversary — use this to interleave with
+// protocol events.
 func (e *Engine) Schedule(t time.Duration, fn func()) {
-	if t < e.now {
-		t = e.now
-	}
-	e.push(t, fn)
-}
-
-func (e *Engine) push(at time.Duration, fn func()) {
-	ev := e.newEvent(at)
+	ev := e.free.get()
+	e.seq++
+	ev.at = max(t, e.now)
+	ev.seq = e.seq
 	ev.kind = evFunc
 	ev.fn = fn
 	e.queue.push(ev)
@@ -477,32 +483,21 @@ func (e *Engine) push(at time.Duration, fn func()) {
 // into engine events. Call once after New (t=0 for the initial
 // deployment); late-deployed nodes are booted individually with BootNode.
 func (e *Engine) Boot(t time.Duration) {
-	for i := range e.hosts {
-		h := e.hosts[i]
+	for _, h := range e.hosts {
 		if h.alive && !h.started {
 			e.bootHost(h, t)
 		}
 	}
-	if e.inj != nil {
-		for _, ev := range e.inj.CrashRebootEvents() {
-			ev := ev
-			if e.sharded {
-				// Crash/reboot land on the target's own lane so their
-				// order against the node's other events is canonical.
-				h := e.hosts[ev.Node]
-				kind := evSCrash
-				if ev.Kind == faults.KindReboot {
-					kind = evSReboot
-				}
-				h.sh.pushHostEvent(ev.At, h, kind)
-				continue
+	if inj := e.shards[0].inj; inj != nil {
+		for _, ev := range inj.CrashRebootEvents() {
+			// Crash/reboot land on the target's own lane so their order
+			// against the node's other events is canonical.
+			h := e.hosts[ev.Node]
+			kind := evCrash
+			if ev.Kind == faults.KindReboot {
+				kind = evReboot
 			}
-			switch ev.Kind {
-			case faults.KindCrash:
-				e.push(ev.At, func() { e.Crash(ev.Node) })
-			case faults.KindReboot:
-				e.push(ev.At, func() { e.Reboot(ev.Node) })
-			}
+			h.sh.pushHostEvent(ev.At, h, kind)
 		}
 	}
 }
@@ -521,75 +516,22 @@ func (e *Engine) BootNode(i int, b node.Behavior, t time.Duration) {
 
 func (e *Engine) bootHost(h *host, t time.Duration) {
 	h.started = true
-	if e.sharded {
-		h.sh.pushHostEvent(t, h, evStart)
-		return
-	}
-	e.push(t, func() {
-		if h.alive {
-			h.behavior.Start(h)
-		}
-	})
-}
-
-// dispatch runs one popped event and returns its record to the free-list.
-func (e *Engine) dispatch(ev *event) {
-	switch ev.kind {
-	case evFunc:
-		ev.fn()
-	case evDeliver:
-		e.runDeliver(ev.h, ev.from, ev.pkt)
-	case evRxBegin:
-		e.runRxBegin(ev.h, ev.rx)
-	case evRxEnd:
-		e.runRxEnd(ev.h, ev.from, ev.pkt, ev.rx)
-	case evTimer:
-		e.runTimer(ev.h, ev.tid)
-	}
-	e.recycle(ev)
+	h.sh.pushHostEvent(t, h, evStart)
 }
 
 // Run processes events in time order until the queue is empty or the
 // virtual clock would exceed until. It returns the number of events
 // processed.
 func (e *Engine) Run(until time.Duration) int {
-	if e.sharded {
-		n, _ := e.runSharded(until, false, 0)
-		return n
-	}
-	processed := 0
-	for len(e.queue) > 0 && e.queue[0].at <= until {
-		next := e.queue.pop()
-		e.now = next.at
-		e.dispatch(next)
-		processed++
-		e.m.events.Inc()
-	}
-	if e.now < until {
-		e.now = until
-	}
-	return processed
+	n, _ := e.run(until, false, 0)
+	return n
 }
 
 // RunUntilIdle drains every pending event regardless of time and returns
 // the number processed. maxEvents guards against livelock (<=0 means no
 // limit); exceeding it returns an error.
 func (e *Engine) RunUntilIdle(maxEvents int) (int, error) {
-	if e.sharded {
-		return e.runSharded(0, true, maxEvents)
-	}
-	processed := 0
-	for len(e.queue) > 0 {
-		next := e.queue.pop()
-		e.now = next.at
-		e.dispatch(next)
-		processed++
-		e.m.events.Inc()
-		if maxEvents > 0 && processed > maxEvents {
-			return processed, fmt.Errorf("sim: exceeded %d events; protocol not quiescing", maxEvents)
-		}
-	}
-	return processed, nil
+	return e.run(0, true, maxEvents)
 }
 
 // Pending returns the number of queued events.
@@ -604,8 +546,7 @@ func (e *Engine) Pending() int {
 	return n
 }
 
-// ShardCount returns the number of shards the engine runs on (0 for the
-// legacy single-heap engine).
+// ShardCount returns the number of shards the engine runs on.
 func (e *Engine) ShardCount() int { return len(e.shards) }
 
 // N returns the number of hosted nodes.
@@ -629,45 +570,24 @@ func (e *Engine) Kill(i int) { e.hosts[i].alive = false }
 // Crash is the fault model's node failure: the radio closes, every
 // pending timer dies with the volatile timer state, and any in-progress
 // reception is abandoned. Unlike Kill it is designed to pair with Reboot —
-// a rebooted node must not see timers armed before the crash.
+// a rebooted node must not see timers armed before the crash. Call it
+// from the coordinator lane (a Schedule closure) or between runs.
 func (e *Engine) Crash(i int) {
+	e.syncShardClocks()
 	h := e.hosts[i]
-	if !h.alive {
-		return
-	}
-	h.alive = false
-	h.timers = h.timers[:0]
-	h.rxCurrent = nil
-	e.m.crashes.Inc()
-	e.cfg.Obs.Emit(e.now, obs.KindCrash, i, 0, "")
-	if e.cfg.OnCrash != nil {
-		e.cfg.OnCrash(i, e.now)
-	}
+	h.sh.crash(h)
 }
 
 // Reboot revives a crashed node at the current virtual time: the radio
 // reopens and the behavior gets a restart callback — Reboot if it
 // implements node.Rebooter (warm restart: key material in stable storage
 // survived, volatile timers did not), Start otherwise. Rebooting an alive
-// or never-booted node is a no-op.
+// or never-booted node is a no-op. Call it from the coordinator lane or
+// between runs.
 func (e *Engine) Reboot(i int) {
+	e.syncShardClocks()
 	h := e.hosts[i]
-	if h.alive || h.behavior == nil || !h.started {
-		return
-	}
-	h.alive = true
-	e.m.reboots.Inc()
-	e.cfg.Obs.Emit(e.now, obs.KindReboot, i, 0, "")
-	if e.sharded {
-		// The restart callback runs with the host's Context, whose clock
-		// is the owning shard's; align it with coordinator time first.
-		e.syncShardClocks()
-	}
-	if rb, ok := h.behavior.(node.Rebooter); ok {
-		rb.Reboot(h)
-		return
-	}
-	h.behavior.Start(h)
+	h.sh.reboot(h)
 }
 
 // Collisions returns how many packets the collision model destroyed at
@@ -693,10 +613,10 @@ func locatorFor(g *topology.Graph) (float64, func(i int) (x, y float64)) {
 }
 
 // Do schedules fn to run at virtual time t with node i's Context, on the
-// engine's event loop — the hook through which experiment scripts trigger
-// application-level actions (send a reading, start a refresh, issue a
-// revocation) without breaking the single-threaded behavior contract.
-// fn is not invoked if the node is dead at t.
+// engine's coordinator lane — the hook through which experiment scripts
+// trigger application-level actions (send a reading, start a refresh,
+// issue a revocation) without breaking the single-threaded behavior
+// contract. fn is not invoked if the node is dead at t.
 func (e *Engine) Do(t time.Duration, i int, fn func(node.Context)) {
 	h := e.hosts[i]
 	e.Schedule(t, func() {
@@ -709,17 +629,13 @@ func (e *Engine) Do(t time.Duration, i int, fn func(node.Context)) {
 // InjectAt broadcasts pkt from the radio position of graph node at,
 // claiming link-layer sender fakeFrom. This is the adversary's transmitter:
 // it spends no defender energy and reaches exactly the nodes a real radio
-// at that position would reach.
+// at that position would reach. The position's host owns the lane and
+// the medium stream, so the fan-out is identical to a real transmission
+// from there.
 func (e *Engine) InjectAt(at int, fakeFrom node.ID, pkt []byte) {
-	if e.sharded {
-		// Injections originate on the coordinator between epochs; the
-		// radio position's host owns the lane and the medium stream, so
-		// the fan-out is identical to a real transmission from there.
-		e.syncShardClocks()
-		e.hosts[at].sh.deliverFrom(e.hosts[at], fakeFrom, pkt)
-		return
-	}
-	e.deliverFrom(at, fakeFrom, pkt)
+	e.syncShardClocks()
+	h := e.hosts[at]
+	h.sh.deliverFrom(h, fakeFrom, pkt)
 }
 
 // broadcast carries a host transmission onto the medium.
@@ -729,11 +645,7 @@ func (e *Engine) broadcast(h *host, pkt []byte) {
 	h.meter.ChargeTx(e.cfg.Energy, len(pkt))
 	// The transmission itself completes even if it drains the battery;
 	// the node is dead afterwards.
-	if e.sharded {
-		h.sh.deliverFrom(h, h.id, pkt)
-	} else {
-		e.deliverFrom(h.idx, h.id, pkt)
-	}
+	h.sh.deliverFrom(h, h.id, pkt)
 	e.checkBattery(h)
 }
 
@@ -755,7 +667,8 @@ func (e *Engine) checkBattery(h *host) {
 // kill is the single death path for energy depletion: both the engine's
 // battery accounting (checkBattery) and a behavior's own Context.Die
 // route through it, so the death counter and the OnDeath callback can
-// never disagree about how many nodes died.
+// never disagree about how many nodes died. The callback is buffered and
+// replayed on the coordinator in canonical order at the next barrier.
 func (e *Engine) kill(h *host) {
 	if !h.alive {
 		return
@@ -763,158 +676,15 @@ func (e *Engine) kill(h *host) {
 	h.alive = false
 	e.m.deaths.Inc()
 	if e.cfg.OnDeath != nil {
-		if h.sh != nil {
-			// Shard mode: callbacks are buffered and replayed on the
-			// coordinator in canonical order at the next barrier.
-			h.sh.bufferCallback(cbRec{kind: cbDeath, at: h.sh.now, node: int32(h.idx)})
-			return
-		}
-		e.cfg.OnDeath(h.idx, e.now)
+		h.sh.cbs = append(h.sh.cbs, cbRec{kind: cbDeath, at: h.sh.now, node: int32(h.idx)})
 	}
-}
-
-// deliverFrom fans a transmission at graph position idx out to every
-// radio neighbor. Each receiver gets a private arena copy, so neither the
-// sender's later reuse of its buffer nor another receiver's in-place
-// mutation can corrupt a delivery — the same isolation a real radio
-// provides; the copy returns to the arena when Receive returns.
-func (e *Engine) deliverFrom(idx int, from node.ID, pkt []byte) {
-	for _, nb := range e.cfg.Graph.Neighbors(idx) {
-		rcv := e.hosts[nb]
-		// Loss ordering contract (pinned by TestLossBeforeCollision*):
-		// fault-plan drops and independent per-link loss are both decided
-		// at transmission time, before the packet would occupy the
-		// receiver's radio — a lost packet can therefore never collide
-		// with, nor corrupt, another reception. The fault injector is
-		// consulted first so its chains advance on every arrival
-		// regardless of the Loss draw's outcome.
-		lost := e.inj != nil && e.inj.Drop(e.now, idx, int(nb))
-		lost = (e.cfg.Loss > 0 && e.medium.Bool(e.cfg.Loss)) || lost
-		// The jitter draw is made even for lost packets, so the medium
-		// stream consumed per (transmission, receiver) is a constant two
-		// variates: loss outcomes — whether from Config.Loss or a fault
-		// plan — can never shift later draws. This is what keeps a fault
-		// plan targeting one receiver from perturbing the radio behavior
-		// every other receiver observes (TestFaultPlanPreservesMediumStream).
-		delay := e.cfg.PropDelay
-		if jit := e.scaledJitter(); jit > 0 {
-			delay += time.Duration(e.medium.Uint64n(uint64(jit)))
-		}
-		if e.cfg.Trace != nil {
-			e.cfg.Trace(TraceEvent{At: e.now, From: from, To: rcv.id, Size: len(pkt), Lost: lost, Pkt: pkt})
-		}
-		if lost {
-			e.m.lost.Inc()
-			continue
-		}
-		copied := e.pkts.get(len(pkt))
-		copy(copied, pkt)
-		if e.cfg.Collisions {
-			e.scheduleCollidableRx(rcv, from, copied, e.now+delay)
-			continue
-		}
-		ev := e.newEvent(e.now + delay)
-		ev.kind = evDeliver
-		ev.h = rcv
-		ev.from = from
-		ev.pkt = copied
-		e.queue.push(ev)
-	}
-}
-
-// runDeliver completes a collision-free delivery and reclaims the packet
-// buffer once the receiver's callback is done with it.
-func (e *Engine) runDeliver(rcv *host, from node.ID, pkt []byte) {
-	if rcv.alive {
-		e.m.rx.Inc()
-		rcv.meter.ChargeRx(e.cfg.Energy, len(pkt))
-		rcv.behavior.Receive(rcv, from, pkt)
-		e.checkBattery(rcv)
-	}
-	e.pkts.put(pkt)
-}
-
-// scaledJitter returns the medium jitter with any active fault-plan
-// jitter scaling applied.
-func (e *Engine) scaledJitter() time.Duration {
-	jit := e.cfg.Jitter
-	if e.inj != nil && jit > 0 {
-		jit = time.Duration(float64(jit) * e.inj.JitterScale(e.now))
-	}
-	return jit
-}
-
-// scheduleCollidableRx implements the half-duplex collision model: the
-// packet occupies rcv's radio from arrival until arrival+airtime; if it
-// overlaps another reception, both are corrupted and neither is
-// delivered. Receive energy is charged only for packets that decode —
-// corrupted receptions are dropped before the full-packet receive cost.
-// The end-of-airtime event owns the packet buffer.
-func (e *Engine) scheduleCollidableRx(rcv *host, from node.ID, pkt []byte, arrival time.Duration) {
-	airtime := e.cfg.AirtimePerByte * time.Duration(len(pkt))
-	if airtime <= 0 {
-		airtime = time.Microsecond
-	}
-	rx := &reception{endsAt: arrival + airtime}
-	begin := e.newEvent(arrival)
-	begin.kind = evRxBegin
-	begin.h = rcv
-	begin.rx = rx
-	e.queue.push(begin)
-	end := e.newEvent(arrival + airtime)
-	end.kind = evRxEnd
-	end.h = rcv
-	end.from = from
-	end.pkt = pkt
-	end.rx = rx
-	e.queue.push(end)
-}
-
-// runRxBegin starts occupying the receiver's radio, corrupting any
-// overlapping reception.
-func (e *Engine) runRxBegin(rcv *host, rx *reception) {
-	if !rcv.alive {
-		return
-	}
-	if cur := rcv.rxCurrent; cur != nil && e.now < cur.endsAt {
-		// Overlap: the in-progress reception and this one are both
-		// destroyed.
-		if !cur.corrupt {
-			cur.corrupt = true
-			rcv.collisions++
-			e.m.collisions.Inc()
-		}
-		rx.corrupt = true
-		rcv.collisions++
-		e.m.collisions.Inc()
-		if rx.endsAt > cur.endsAt {
-			rcv.rxCurrent = rx // radio stays jammed until the longer one ends
-		}
-		return
-	}
-	rcv.rxCurrent = rx
-}
-
-// runRxEnd delivers a collidable reception that survived its airtime and
-// reclaims the packet buffer.
-func (e *Engine) runRxEnd(rcv *host, from node.ID, pkt []byte, rx *reception) {
-	if rcv.alive && !rx.corrupt {
-		e.m.rx.Inc()
-		rcv.meter.ChargeRx(e.cfg.Energy, len(pkt))
-		rcv.behavior.Receive(rcv, from, pkt)
-		e.checkBattery(rcv)
-	}
-	e.pkts.put(pkt)
 }
 
 // runTimer fires behavior timer tid on h unless it was cancelled (absent
 // from the armed set) or the host died.
-func (e *Engine) runTimer(h *host, tid node.TimerID) {
+func (h *host) runTimer(tid node.TimerID) {
 	tag, ok := h.takeTimer(tid)
-	if !ok {
-		return
-	}
-	if !h.alive {
+	if !ok || !h.alive {
 		return
 	}
 	h.behavior.Timer(h, tag)
@@ -960,14 +730,9 @@ func (h *host) takeTimer(tid node.TimerID) (node.Tag, bool) {
 // ID implements node.Context.
 func (h *host) ID() node.ID { return h.id }
 
-// Now implements node.Context. In shard mode the host's clock is its
-// owning shard's (synced to coordinator time for between-epoch callbacks).
-func (h *host) Now() time.Duration {
-	if h.sh != nil {
-		return h.sh.now
-	}
-	return h.eng.now
-}
+// Now implements node.Context: the owning shard's clock (synced to
+// coordinator time for between-epoch callbacks).
+func (h *host) Now() time.Duration { return h.sh.now }
 
 // Broadcast implements node.Context.
 func (h *host) Broadcast(pkt []byte) {
@@ -982,17 +747,8 @@ func (h *host) SetTimer(d time.Duration, tag node.Tag) node.TimerID {
 	h.nextTID++
 	tid := h.nextTID
 	h.timers = append(h.timers, timerRec{tid, tag}) // tids increase: stays sorted
-	if h.sh != nil {
-		ev := h.sh.pushHostEvent(h.sh.now+d, h, evTimer)
-		ev.tid = tid
-		return tid
-	}
-	e := h.eng
-	ev := e.newEvent(e.now + d)
-	ev.kind = evTimer
-	ev.h = h
+	ev := h.sh.pushHostEvent(h.sh.now+d, h, evTimer)
 	ev.tid = tid
-	e.queue.push(ev)
 	return tid
 }
 

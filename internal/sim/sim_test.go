@@ -393,11 +393,15 @@ func TestPacketImmutabilityAcrossReceivers(t *testing.T) {
 		timer:   func(node.Context, node.Tag) {},
 	}
 	sender := &echo{sendOnStart: []byte("ok")}
-	eng := newEngine(t, g, []node.Behavior{sender, mutator, observer}, Config{Jitter: 1})
+	// Node 2 comes first in the sender's neighbor order, so the mutator
+	// receives before the observer.
+	eng := newEngine(t, g, []node.Behavior{sender, observer, mutator}, Config{Jitter: 1})
 	eng.Boot(0)
 	// The sender scribbling over its buffer after Broadcast must not be
-	// visible to receivers either.
-	eng.Schedule(0, func() { sender.sendOnStart[1] = 'Z' })
+	// visible to receivers either. Coordinator closures run before shard
+	// events at equal times, so the scribble goes between the transmission
+	// at 0 and the arrivals at PropDelay.
+	eng.Schedule(time.Millisecond/2, func() { sender.sendOnStart[1] = 'Z' })
 	if _, err := eng.RunUntilIdle(100); err != nil {
 		t.Fatal(err)
 	}
@@ -413,6 +417,12 @@ func TestConfigValidation(t *testing.T) {
 	g := lineGraph(2)
 	if _, err := New(Config{Graph: g}, make([]node.Behavior, 3)); err == nil {
 		t.Fatal("behavior count mismatch accepted")
+	}
+	if _, err := New(Config{Graph: g, Shards: -1}, make([]node.Behavior, 2)); err == nil {
+		t.Fatal("negative Shards accepted")
+	}
+	if _, err := New(Config{Graph: g, ShardOf: []int{0, 1}}, make([]node.Behavior, 2)); err == nil {
+		t.Fatal("ShardOf naming a second shard accepted at Shards 0")
 	}
 }
 

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -76,15 +77,25 @@ func TestPhaseBucketing(t *testing.T) {
 }
 
 // TestFullRunAccounting attaches a recorder to a real deployment and
-// checks the message accounting against the protocol's known structure.
+// checks the message accounting against the protocol's known structure,
+// at one and at two shards: a broadcast whose arrivals straddle an epoch
+// barrier must still count as one transmission.
 func TestFullRunAccounting(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			fullRunAccounting(t, shards)
+		})
+	}
+}
+
+func fullRunAccounting(t *testing.T, shards int) {
 	cfg := core.DefaultConfig()
 	rec, err := NewPhased([]string{"setup", "operational"}, []time.Duration{cfg.ClusterPhaseEnd + cfg.LinkSpread + 50*time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d, err := core.Deploy(core.DeployOptions{
-		N: 150, Density: 10, Seed: 77, Trace: rec.Hook(),
+		N: 150, Density: 10, Seed: 77, Shards: shards, Trace: rec.Hook(),
 	})
 	if err != nil {
 		t.Fatal(err)
