@@ -355,8 +355,8 @@ func TestBSOpenPathZeroAllocs(t *testing.T) {
 		}
 		bs.Receive(ctx, 1, ctx.last)
 	}
-	// Warm every cache past steady state: the dedup FIFOs must reach
-	// DedupCapacity so remember() churns instead of growing.
+	// Warm every cache past steady state: the dedup sets must reach
+	// DedupCapacity so every insert evicts instead of growing the set.
 	warmup := bs.cfg.DedupCapacity + 500
 	for i := 0; i < warmup; i++ {
 		step()

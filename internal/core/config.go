@@ -99,7 +99,9 @@ type Config struct {
 	CounterWindow uint64
 
 	// DedupCapacity bounds each node's duplicate-suppression cache of
-	// (origin, sequence) pairs.
+	// (origin, sequence) pairs: a node remembers the last DedupCapacity
+	// distinct pairs it saw. At most 1<<24 (Validate rejects more); the
+	// cache addresses its entries with int32 indices.
 	DedupCapacity int
 
 	// MaxChainSkip is how many consecutive missed revocation commands a
@@ -293,6 +295,9 @@ func (c Config) Validate() error {
 		if f.v < 0 {
 			return fmt.Errorf("core: %s must not be negative, got %d", f.name, f.v)
 		}
+	}
+	if c.DedupCapacity > maxDedupCapacity {
+		return fmt.Errorf("core: DedupCapacity must be at most %d, got %d", maxDedupCapacity, c.DedupCapacity)
 	}
 	if c.HandoffEnabled && c.KeepAlivePeriod <= 0 {
 		return fmt.Errorf("core: HandoffEnabled requires KeepAlivePeriod > 0 (keep-alive silence is the departure trigger)")

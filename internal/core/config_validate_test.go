@@ -54,6 +54,16 @@ func TestConfigValidate(t *testing.T) {
 			"DedupCapacity must not be negative",
 		},
 		{
+			"DedupCapacity past the set's index range",
+			func(c *Config) { c.DedupCapacity = 1<<24 + 1 },
+			"DedupCapacity must be at most 16777216",
+		},
+		{
+			"DedupCapacity at the bound ok",
+			func(c *Config) { c.DedupCapacity = 1 << 24 },
+			"",
+		},
+		{
 			"negative BatchSize",
 			func(c *Config) { c.BatchSize = -4 },
 			"BatchSize must not be negative",

@@ -86,7 +86,7 @@ func (s *Sensor) SendReading(ctx node.Context, data []byte) (uint32, bool) {
 		// Data-fusion mode: "c1 ... is simply the data D".
 		inner.Sealed = data
 	}
-	s.remember(s.id, s.readingSeq)
+	s.dedup.insert(dedupKey{s.id, s.readingSeq}, s.cfg.DedupCapacity)
 	s.innerBuf = inner.AppendMarshal(s.innerBuf[:0])
 	innerBytes := s.innerBuf
 	if s.batchEnabled() {
@@ -164,10 +164,9 @@ func (s *Sensor) onData(ctx node.Context, f *wire.Frame, _ []byte) {
 			s.degraded = false
 		}
 	}
-	if s.seen(d.Origin, d.Seq) {
+	if !s.dedup.insert(dedupKey{d.Origin, d.Seq}, s.cfg.DedupCapacity) {
 		return
 	}
-	s.remember(d.Origin, d.Seq)
 
 	if s.bs != nil {
 		s.deliver(ctx, d.Origin, d.Seq, d.Inner)
@@ -418,10 +417,9 @@ func (s *Sensor) onDataBatch(ctx node.Context, f *wire.Frame) {
 		(s.cfg.FloodForwarding || (s.hop != HopUnknown && b.Hop > s.hop))
 	for i := range b.Readings {
 		rd := &b.Readings[i]
-		if s.seen(rd.Origin, rd.Seq) {
+		if !s.dedup.insert(dedupKey{rd.Origin, rd.Seq}, s.cfg.DedupCapacity) {
 			continue
 		}
-		s.remember(rd.Origin, rd.Seq)
 		if s.bs != nil {
 			s.deliver(ctx, rd.Origin, rd.Seq, rd.Inner)
 			continue
@@ -588,28 +586,4 @@ func (s *Sensor) openWithEpochFallback(ctx node.Context, f *wire.Frame) ([]byte,
 		}
 	}
 	return nil, false
-}
-
-// --- duplicate suppression ---
-
-func (s *Sensor) seen(origin node.ID, seq uint32) bool {
-	_, ok := s.dedup[dedupKey{origin, seq}]
-	return ok
-}
-
-// remember records (origin, seq) in a bounded FIFO cache.
-func (s *Sensor) remember(origin node.ID, seq uint32) {
-	k := dedupKey{origin, seq}
-	if _, ok := s.dedup[k]; ok {
-		return
-	}
-	if len(s.dedupFIFO) < s.cfg.DedupCapacity {
-		s.dedupFIFO = append(s.dedupFIFO, k)
-	} else {
-		old := s.dedupFIFO[s.dedupPos]
-		delete(s.dedup, old)
-		s.dedupFIFO[s.dedupPos] = k
-		s.dedupPos = (s.dedupPos + 1) % s.cfg.DedupCapacity
-	}
-	s.dedup[k] = struct{}{}
 }

@@ -117,7 +117,6 @@ func restoreCommon(cfg Config, st *SensorState) *Sensor {
 		readingSeq: st.ReadingSeq,
 		readingCtr: st.ReadingCtr,
 		mobile:     st.Mobile,
-		dedup:      make(map[dedupKey]struct{}),
 		om:         newCoreMetrics(cfg.Obs.Registry()),
 	}
 	for cid, e := range st.Epochs {

@@ -132,11 +132,6 @@ func (bs *bsState) arenaCopy(b []byte) []byte {
 	return bs.arena[start : start+len(b) : start+len(b)]
 }
 
-type dedupKey struct {
-	origin node.ID
-	seq    uint32
-}
-
 // Sensor is the protocol state machine run by every node, base station
 // included (the base station attaches a bsState). It implements
 // node.Behavior; all fields are owned by the hosting runtime's callback
@@ -158,9 +153,7 @@ type Sensor struct {
 	round uint32
 
 	// Duplicate suppression for forwarded data.
-	dedup     map[dedupKey]struct{}
-	dedupFIFO []dedupKey
-	dedupPos  int
+	dedup dedupSet
 
 	// Application state.
 	readingSeq uint32
@@ -375,12 +368,7 @@ func NewSensor(cfg Config, m Material) *Sensor {
 		// Mobile provisioning carries both masters (MobileMaterialFor);
 		// original nodes hold only Km, late additions only KMC.
 		mobile: !m.Master.IsZero() && !m.AddMaster.IsZero(),
-		// Sized lazily, NOT pre-sized to DedupCapacity: a hint of 1024
-		// reserves ~20 KB of empty buckets per node, which at 10^6 nodes
-		// is ~20 GB of memory for caches that stay empty until data
-		// traffic flows. The FIFO in remember still bounds growth.
-		dedup: make(map[dedupKey]struct{}),
-		om:    newCoreMetrics(cfg.Obs.Registry()),
+		om:     newCoreMetrics(cfg.Obs.Registry()),
 	}
 }
 

@@ -70,25 +70,31 @@ func TestDedupCacheEviction(t *testing.T) {
 	cfg.DedupCapacity = 4
 	auth := AuthorityFromSeed(2, 16)
 	s := NewSensor(cfg, auth.MaterialFor(1))
+	remember := func(seq uint32) bool { return s.dedup.insert(dedupKey{9, seq}, s.cfg.DedupCapacity) }
+	seen := func(seq uint32) bool { return s.dedup.has(dedupKey{9, seq}) }
 	for seq := uint32(1); seq <= 4; seq++ {
-		s.remember(9, seq)
+		if !remember(seq) {
+			t.Fatalf("seq %d reported as already present", seq)
+		}
 	}
 	for seq := uint32(1); seq <= 4; seq++ {
-		if !s.seen(9, seq) {
+		if !seen(seq) {
 			t.Fatalf("seq %d forgotten prematurely", seq)
 		}
 	}
 	// Fifth entry evicts the oldest.
-	s.remember(9, 5)
-	if s.seen(9, 1) {
+	remember(5)
+	if seen(1) {
 		t.Fatal("oldest entry not evicted")
 	}
-	if !s.seen(9, 5) || !s.seen(9, 2) {
+	if !seen(5) || !seen(2) {
 		t.Fatal("recent entries lost")
 	}
 	// Re-remembering an existing entry must not evict anything.
-	s.remember(9, 5)
-	if !s.seen(9, 2) {
+	if remember(5) {
+		t.Fatal("duplicate insert reported as new")
+	}
+	if !seen(2) {
 		t.Fatal("duplicate remember evicted an entry")
 	}
 }

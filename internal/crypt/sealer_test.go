@@ -7,19 +7,25 @@ import (
 	"repro/internal/xrand"
 )
 
+// testNonces returns the nonces the byte-equivalence tests run at every
+// message size: 0, the largest (2^64-1) and one drawn from rng.
+func testNonces(rng *xrand.RNG) [3]uint64 {
+	return [3]uint64{0, ^uint64(0), rng.Uint64()}
+}
+
 // TestSealerMatchesSeal pins the byte-equivalence contract: for the same
 // (key, nonce, aad, plaintext), AppendSeal produces exactly Seal's output
-// and AppendOpen exactly Open's, across message sizes spanning the CTR
-// block boundaries.
+// and AppendOpen exactly Open's, at every message size from 0 to 600 B —
+// every CTR block boundary on both sides of gcmCutoff — and at nonces 0,
+// 2^64-1 and random.
 func TestSealerMatchesSeal(t *testing.T) {
 	rng := xrand.New(0xC0FFEE)
-	for trial := 0; trial < 200; trial++ {
+	for size := 0; size <= 600; size++ {
 		var k Key
 		for i := range k {
 			k[i] = byte(rng.Uint64n(256))
 		}
 		s := NewSealer(k)
-		size := int(rng.Uint64n(70)) // 0..69 covers 0, <1, =1, >4 AES blocks
 		pt := make([]byte, size)
 		for i := range pt {
 			pt[i] = byte(rng.Uint64n(256))
@@ -28,22 +34,22 @@ func TestSealerMatchesSeal(t *testing.T) {
 		for i := range aad {
 			aad[i] = byte(rng.Uint64n(256))
 		}
-		nonce := rng.Uint64()
+		for _, nonce := range testNonces(rng) {
+			want := Seal(k, nonce, aad, pt)
+			got := s.AppendSeal(nil, nonce, aad, pt)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("size %d nonce %#x: AppendSeal != Seal\n got %x\nwant %x", size, nonce, got, want)
+			}
 
-		want := Seal(k, nonce, aad, pt)
-		got := s.AppendSeal(nil, nonce, aad, pt)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: AppendSeal != Seal\n got %x\nwant %x", trial, got, want)
-		}
-
-		// Open the one-shot output with the Sealer and vice versa.
-		opened, ok := s.AppendOpen(nil, nonce, aad, want)
-		if !ok || !bytes.Equal(opened, pt) {
-			t.Fatalf("trial %d: AppendOpen(Seal output) = %x, %v; want %x, true", trial, opened, ok, pt)
-		}
-		opened2, ok := Open(k, nonce, aad, got)
-		if !ok || !bytes.Equal(opened2, pt) {
-			t.Fatalf("trial %d: Open(AppendSeal output) failed", trial)
+			// Open the one-shot output with the Sealer and vice versa.
+			opened, ok := s.AppendOpen(nil, nonce, aad, want)
+			if !ok || !bytes.Equal(opened, pt) {
+				t.Fatalf("size %d nonce %#x: AppendOpen(Seal output) = %x, %v; want %x, true", size, nonce, opened, ok, pt)
+			}
+			opened2, ok := Open(k, nonce, aad, got)
+			if !ok || !bytes.Equal(opened2, pt) {
+				t.Fatalf("size %d nonce %#x: Open(AppendSeal output) failed", size, nonce)
+			}
 		}
 	}
 }
@@ -108,30 +114,33 @@ func TestSealerRejects(t *testing.T) {
 	}
 }
 
-// TestSealerAllocFree is the allocation regression test the issue asks
-// for: with warm scratch, seal and open must not allocate at all.
+// TestSealerAllocFree is the allocation regression test: with warm
+// scratch, seal and open must not allocate at all, at a typical 38-byte
+// frame body and at 290 bytes, past gcmCutoff.
 func TestSealerAllocFree(t *testing.T) {
 	k := KeyFromBytes([]byte("alloc-free-seals"))
 	s := NewSealer(k)
-	pt := []byte("0123456789abcdef0123456789abcdef012345") // 38 B, typical frame body
 	aad := []byte{3, 0, 0, 0, 7}
-	sealBuf := make([]byte, 0, len(pt)+Overhead)
-	openBuf := make([]byte, 0, len(pt))
-	sealed := s.AppendSeal(nil, 1, aad, pt)
+	for _, size := range []int{38, 290} {
+		pt := bytes.Repeat([]byte("0123456789abcdef"), 20)[:size]
+		sealBuf := make([]byte, 0, len(pt)+Overhead)
+		openBuf := make([]byte, 0, len(pt))
+		sealed := s.AppendSeal(nil, 1, aad, pt)
 
-	if n := testing.AllocsPerRun(200, func() {
-		sealBuf = s.AppendSeal(sealBuf[:0], 5, aad, pt)
-	}); n != 0 {
-		t.Errorf("AppendSeal allocates %v/op; want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		var ok bool
-		openBuf, ok = s.AppendOpen(openBuf[:0], 1, aad, sealed)
-		if !ok {
-			t.Fatal("open failed")
+		if n := testing.AllocsPerRun(200, func() {
+			sealBuf = s.AppendSeal(sealBuf[:0], 5, aad, pt)
+		}); n != 0 {
+			t.Errorf("%d B: AppendSeal allocates %v/op; want 0", size, n)
 		}
-	}); n != 0 {
-		t.Errorf("AppendOpen allocates %v/op; want 0", n)
+		if n := testing.AllocsPerRun(200, func() {
+			var ok bool
+			openBuf, ok = s.AppendOpen(openBuf[:0], 1, aad, sealed)
+			if !ok {
+				t.Fatal("open failed")
+			}
+		}); n != 0 {
+			t.Errorf("%d B: AppendOpen allocates %v/op; want 0", size, n)
+		}
 	}
 }
 

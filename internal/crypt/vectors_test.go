@@ -9,6 +9,8 @@ import (
 	"encoding/binary"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/xrand"
 )
 
 // TestXORKeyStreamMatchesStdlibDirectly cross-checks our CTR construction
@@ -33,6 +35,47 @@ func TestXORKeyStreamMatchesStdlibDirectly(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScratchKeyStreamMatchesStdlibDirectly is the Scratch path's twin of
+// TestXORKeyStreamMatchesStdlibDirectly: the keystream AppendSeal and
+// AppendOpen run, per-block below gcmCutoff and GCM-backed from it on,
+// must equal cipher.NewCTR's at every length from 0 to 600 B, at nonces
+// 0, 2^64-1 and random, both into a separate buffer and in place.
+func TestScratchKeyStreamMatchesStdlibDirectly(t *testing.T) {
+	k := testKey(71)
+	r := NewKeyring()
+	st := r.Acquire(k)
+	encKey := DeriveKey(k, LabelEncrypt) // the subkey a KeyState encrypts under
+	block, err := aes.NewCipher(encKey[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc Scratch
+	rng := xrand.New(71)
+	src := make([]byte, 600)
+	for i := range src {
+		src[i] = byte(rng.Uint64n(256))
+	}
+	for n := 0; n <= len(src); n++ {
+		for _, nonce := range testNonces(rng) {
+			var iv [aes.BlockSize]byte
+			binary.BigEndian.PutUint64(iv[:8], nonce)
+			want := make([]byte, n)
+			cipher.NewCTR(block, iv[:]).XORKeyStream(want, src[:n])
+
+			got := make([]byte, n, n+keystreamRoom(n))
+			sc.xorKeyStream(st, nonce, got, src[:n])
+			if !bytes.Equal(got, want) {
+				t.Fatalf("len %d nonce %#x: Scratch keystream differs from cipher.NewCTR", n, nonce)
+			}
+			inPlace := append(make([]byte, 0, n+keystreamRoom(n)), src[:n]...)
+			sc.xorKeyStream(st, nonce, inPlace, inPlace)
+			if !bytes.Equal(inPlace, want) {
+				t.Fatalf("len %d nonce %#x: in-place Scratch keystream differs from cipher.NewCTR", n, nonce)
+			}
+		}
 	}
 }
 
