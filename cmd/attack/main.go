@@ -311,7 +311,7 @@ func forgeScenario(d *core.Deployment) {
 	before := len(d.Deliveries())
 	var evil crypt.Key
 	evil[0] = 0x99
-	dd := &wire.Data{Tau: int64(d.Eng.Now()), SrcCID: 1, Origin: 3, Seq: 1, Inner: []byte("forged")}
+	dd := &wire.Data{Tau: int64(d.Eng.Now()), SrcCID: 1, Readings: []wire.Reading{{Origin: 3, Seq: 1, Inner: []byte("forged")}}}
 	sealed := crypt.Seal(evil, 7, []byte{byte(wire.TData), 0, 0, 0, 1}, dd.Marshal())
 	pkt, _ := (&wire.Frame{Type: wire.TData, CID: 1, Nonce: 7, Payload: sealed}).Marshal()
 	attackPos := d.BSIndex

@@ -167,6 +167,7 @@ func main() {
 
 	cfg := core.DefaultConfig()
 	cfg.DisableStep1 = *o.fusion
+	cfg.BatchSize = *o.batch
 	if *o.refreshP > 0 {
 		cfg.RefreshPeriod = *o.refreshP
 		cfg.RefreshMode = core.RefreshHash
@@ -265,7 +266,6 @@ func main() {
 		Loss:        *o.loss,
 		Shards:      *o.shards,
 		ReserveLate: *o.add,
-		Batch:       *o.batch,
 		Battery:     *o.battery,
 		OnDeath:     func(int, time.Duration) { deaths++ },
 		Trace:       traceHook,

@@ -208,7 +208,7 @@ func TestSybilIdentityForgeryFails(t *testing.T) {
 
 	inner := &wire.Inner{Src: victim, Counter: 1, Encrypted: true,
 		Sealed: crypt.Seal(ki, 1, core.InnerAAD(victim), []byte("forged-as-victim"))}
-	dd := &wire.Data{Tau: 0, SrcCID: cid, Origin: victim, Seq: 424242, Hop: 5, Inner: inner.Marshal()}
+	dd := &wire.Data{SrcCID: cid, Hop: 5, Readings: []wire.Reading{{Origin: victim, Seq: 424242, Inner: inner.Marshal()}}}
 	before := len(d.Deliveries())
 	d.Eng.Schedule(d.Eng.Now()+time.Millisecond, func() {
 		dd.Tau = int64(d.Eng.Now())

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"reflect"
 	"testing"
 	"time"
 
@@ -13,39 +12,6 @@ import (
 	"repro/internal/wire"
 	"repro/internal/xrand"
 )
-
-// TestBatchOneByteIdenticalToOff pins the batching knob's off-path
-// contract: BatchSize=1 must run the classic one-reading-per-TData path
-// byte-identically to batching disabled — every delivery (bytes and
-// timestamps), every energy figure, every cluster statistic — including
-// under ack-gated retries, whose retransmissions always go out unbatched.
-func TestBatchOneByteIdenticalToOff(t *testing.T) {
-	delOff, enOff, clOff := protocolRun(t, func(o *DeployOptions) { o.Config.DataRetries = 2 })
-	delOne, enOne, clOne := protocolRun(t, func(o *DeployOptions) {
-		o.Config.DataRetries = 2
-		o.Batch = 1
-	})
-
-	if len(delOne) != len(delOff) {
-		t.Fatalf("batch=1: %d deliveries vs %d unbatched", len(delOne), len(delOff))
-	}
-	for i := range delOff {
-		a, b := delOff[i], delOne[i]
-		if a.Origin != b.Origin || a.Seq != b.Seq || a.At != b.At ||
-			a.Encrypted != b.Encrypted || !bytes.Equal(a.Data, b.Data) {
-			t.Fatalf("delivery %d differs: %+v vs %+v", i, a, b)
-		}
-	}
-	if enOne != enOff {
-		t.Fatalf("energy report differs:\n%+v\n%+v", enOne, enOff)
-	}
-	if !reflect.DeepEqual(clOne, clOff) {
-		t.Fatalf("cluster stats differ:\n%+v\n%+v", clOne, clOff)
-	}
-	if len(delOff) == 0 {
-		t.Fatal("equivalence vacuous: no deliveries")
-	}
-}
 
 // deliveryKey folds a delivery's identity into one comparable value.
 func deliveryKey(d Delivery) uint64 { return uint64(d.Origin)<<32 | uint64(d.Seq) }
@@ -73,7 +39,7 @@ func TestBatchedDeliverySetMatchesUnbatched(t *testing.T) {
 	delOff, _, _ := protocolRun(t, func(o *DeployOptions) { o.Loss = 0 })
 	delBat, _, _ := protocolRun(t, func(o *DeployOptions) {
 		o.Loss = 0
-		o.Batch = 8
+		o.Config.BatchSize = 8
 		o.PoisonRecycled = true
 	})
 
@@ -102,7 +68,7 @@ func TestBatchedDeliverySetMatchesUnbatched(t *testing.T) {
 // delivered set.
 func burstRun(t *testing.T, batch int) (EnergyReport, map[uint64]Delivery) {
 	t.Helper()
-	d, err := Deploy(DeployOptions{N: 40, Density: 10, Seed: 11, Batch: batch})
+	d, err := Deploy(DeployOptions{N: 40, Density: 10, Seed: 11, Config: Config{BatchSize: batch}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +93,7 @@ func burstRun(t *testing.T, batch int) (EnergyReport, map[uint64]Delivery) {
 
 // TestBatchedSealingReducesPackets is the throughput claim in miniature:
 // under bursty traffic, batch=8 must move the same readings in strictly
-// fewer radio transmissions than the classic path.
+// fewer radio transmissions than one reading per frame.
 func TestBatchedSealingReducesPackets(t *testing.T) {
 	enOff, off := burstRun(t, 0)
 	enBat, bat := burstRun(t, 8)
@@ -150,7 +116,7 @@ func TestBatchedSealingReducesPackets(t *testing.T) {
 // for the batch to fill: the deadline timer pushes it out, and it arrives
 // no earlier than one flush delay after origination.
 func TestBatchDeadlineFlush(t *testing.T) {
-	d, err := Deploy(DeployOptions{N: 30, Density: 10, Seed: 13, Batch: 8})
+	d, err := Deploy(DeployOptions{N: 30, Density: 10, Seed: 13, Config: Config{BatchSize: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +147,7 @@ func TestBatchDeadlineFlush(t *testing.T) {
 // TestBatchFillFlushesEarly checks the count trigger: a full batch goes
 // out immediately, without waiting for the deadline.
 func TestBatchFillFlushesEarly(t *testing.T) {
-	d, err := Deploy(DeployOptions{N: 30, Density: 10, Seed: 13, Batch: 4})
+	d, err := Deploy(DeployOptions{N: 30, Density: 10, Seed: 13, Config: Config{BatchSize: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,14 +184,15 @@ func TestBatchFillFlushesEarly(t *testing.T) {
 func TestRevokedSensorAbandonsPendingRetries(t *testing.T) {
 	var cfg Config
 	cfg.DataRetries = 3
+	cfg.BatchSize = 8
 	cfg.BatchFlushDelay = 200 * time.Millisecond
 
 	victim := -1
 	var dataTx []time.Duration
-	opt := DeployOptions{N: 50, Density: 10, Seed: 5, Batch: 8, Config: cfg}
+	opt := DeployOptions{N: 50, Density: 10, Seed: 5, Config: cfg}
 	opt.Trace = func(ev sim.TraceEvent) {
 		if victim >= 0 && int(ev.From) == victim && len(ev.Pkt) > 0 {
-			if typ := wire.Type(ev.Pkt[0]); typ == wire.TData || typ == wire.TDataBatch {
+			if wire.Type(ev.Pkt[0]) == wire.TData {
 				dataTx = append(dataTx, ev.At)
 			}
 		}
@@ -298,16 +265,17 @@ func TestRevokedSensorAbandonsPendingRetries(t *testing.T) {
 // benchCtx is a no-op node.Context whose methods never allocate; it
 // captures the last broadcast packet for hand-driven sensor<->BS loops.
 type benchCtx struct {
-	now  time.Duration
-	last []byte
-	rng  *xrand.RNG
-	keys *crypt.Keyring
+	now    time.Duration
+	last   []byte
+	timers int
+	rng    *xrand.RNG
+	keys   *crypt.Keyring
 }
 
 func (c *benchCtx) ID() node.ID                                   { return 1 }
 func (c *benchCtx) Now() time.Duration                            { return c.now }
 func (c *benchCtx) Broadcast(pkt []byte)                          { c.last = pkt }
-func (c *benchCtx) SetTimer(time.Duration, node.Tag) node.TimerID { return 1 }
+func (c *benchCtx) SetTimer(time.Duration, node.Tag) node.TimerID { c.timers++; return 1 }
 func (c *benchCtx) CancelTimer(node.TimerID)                      {}
 func (c *benchCtx) Rand() *xrand.RNG                              { return c.rng }
 func (c *benchCtx) ChargeCipher(int)                              {}
@@ -335,6 +303,54 @@ func wireOperationalPair(t *testing.T) (sn, bs *Sensor, ctx *benchCtx) {
 	bs.ks.JoinCluster(1, key)
 	bs.phase = PhaseOperational
 	return sn, bs, &benchCtx{rng: xrand.New(7)}
+}
+
+// TestUnbatchedSendGoesOutAtOnce pins BatchSize <= 1: each reading
+// leaves in its own DATA frame inside SendReading, and no flush timer
+// is ever armed.
+func TestUnbatchedSendGoesOutAtOnce(t *testing.T) {
+	sn, _, ctx := wireOperationalPair(t)
+	for k := 0; k < 3; k++ {
+		ctx.last = nil
+		if _, ok := sn.SendReading(ctx, []byte{byte(k)}); !ok || ctx.last == nil {
+			t.Fatalf("reading %d did not go out at once", k)
+		}
+	}
+	if ctx.timers != 0 {
+		t.Fatalf("unbatched sends armed %d timers", ctx.timers)
+	}
+}
+
+// TestDataFrameAcksEveryReading checks per-tuple implicit acks: a
+// multi-reading frame overheard from a lower hop acks every pending
+// reading it carries, not only the first.
+func TestDataFrameAcksEveryReading(t *testing.T) {
+	auth := AuthorityFromSeed(42, 16)
+	cfg := Config{BatchSize: 2, DataRetries: 2}
+	relay := NewSensor(cfg, auth.MaterialFor(1))
+	leaf := NewSensor(cfg, auth.MaterialFor(2))
+	key := relay.ks.CandidateClusterKey
+	for i, s := range []*Sensor{relay, leaf} {
+		s.ks.JoinCluster(1, key)
+		s.phase = PhaseOperational
+		s.hop = uint16(i + 1)
+	}
+	ctx := &benchCtx{rng: xrand.New(7)}
+	leaf.SendReading(ctx, []byte("a"))
+	leaf.SendReading(ctx, []byte("b"))
+	if n := len(leaf.pendingAcks); n != 2 || ctx.last == nil {
+		t.Fatalf("leaf tracks %d pending readings (frame sent: %v), want 2 in one frame", n, ctx.last != nil)
+	}
+	sent := ctx.last
+	ctx.last = nil
+	relay.Receive(ctx, 2, sent)
+	if ctx.last == nil {
+		t.Fatal("relay did not forward the two-reading frame")
+	}
+	leaf.Receive(ctx, 1, ctx.last)
+	if n := len(leaf.pendingAcks); n != 0 {
+		t.Fatalf("%d of 2 readings still pending after the relay's frame", n)
+	}
 }
 
 // TestBSOpenPathZeroAllocs pins the delivery hot path's allocation

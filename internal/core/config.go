@@ -163,18 +163,19 @@ type Config struct {
 	// simultaneous senders don't retry in lockstep. Defaults to 30ms.
 	SetupRetryBase time.Duration
 
-	// BatchSize, if > 1, enables batched sealing on the data plane
-	// (docs/THROUGHPUT.md): a node queues originated and relayed
-	// readings and flushes up to BatchSize of them as one TDataBatch
-	// under a single cluster-key seal, amortizing the outer MAC and
-	// frame header. Each reading's Step-1 inner envelope stays
-	// independently sealed under its origin's node key, so per-origin
-	// authenticity and base-station dedup are unchanged. 0 or 1 keep
-	// the classic one-reading-per-TData path byte-identical.
+	// BatchSize caps how many readings one DATA frame carries
+	// (docs/THROUGHPUT.md). A node queues originated and relayed
+	// readings and flushes up to BatchSize of them under a single
+	// cluster-key seal, amortizing the outer MAC and frame header. Each
+	// reading's Step-1 inner envelope stays independently sealed under
+	// its origin's node key, so per-origin authenticity and base-station
+	// dedup are unchanged. 0 or 1 send every reading in its own frame at
+	// once, with no flush timer.
 	BatchSize int
 	// BatchFlushDelay bounds how long a queued reading may wait for the
 	// batch to fill before a deadline flush. Defaults to 20ms when
-	// BatchSize > 1.
+	// BatchSize > 1; at BatchSize <= 1 the queue flushes at once and
+	// the delay is unused.
 	BatchFlushDelay time.Duration
 
 	// HandoffEnabled lets a mobile node — one provisioned with both Km

@@ -24,10 +24,9 @@ type DeployOptions struct {
 	Seed uint64
 	// Config holds protocol parameters (zero fields take defaults).
 	Config Config
-	// Metric selects the deployment geometry (defaults to Torus, which
-	// realizes the target density exactly; see internal/topology).
-	Metric geom.Metric
-	// UsePlanar switches to planar geometry (boundary effects included).
+	// UsePlanar switches from the default torus geometry, which realizes
+	// the target density exactly (see internal/topology), to planar
+	// geometry (boundary effects included).
 	UsePlanar bool
 	// Loss is the radio's per-link packet-loss probability.
 	Loss float64
@@ -71,11 +70,6 @@ type DeployOptions struct {
 	// PoisonRecycled overwrites recycled packet buffers with 0xDB (see
 	// sim.Config.PoisonRecycled) to surface illegal packet retention.
 	PoisonRecycled bool
-	// Batch, when > 1, enables batched sealing on every node's data
-	// plane (Config.BatchSize; docs/THROUGHPUT.md): up to Batch readings
-	// share one cluster-key seal, flushed on size or deadline. 0 keeps
-	// the classic one-reading-per-frame path byte-identical.
-	Batch int
 	// Shards is how many goroutines the simulation runs on (0 and 1
 	// both mean one, inline). Above 1, nodes are assigned to spatial
 	// stripes via topology.Graph.ShardStripes and each stripe's event
@@ -117,9 +111,6 @@ type Deployment struct {
 func Deploy(opt DeployOptions) (*Deployment, error) {
 	if opt.N < 2 {
 		return nil, fmt.Errorf("core: deployment needs at least 2 nodes, got %d", opt.N)
-	}
-	if opt.Batch > 0 {
-		opt.Config.BatchSize = opt.Batch
 	}
 	// Validate the raw config: withDefaults would silently replace
 	// negative durations with defaults, hiding deployment-file typos.

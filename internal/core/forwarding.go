@@ -88,13 +88,7 @@ func (s *Sensor) SendReading(ctx node.Context, data []byte) (uint32, bool) {
 	}
 	s.dedup.insert(dedupKey{s.id, s.readingSeq}, s.cfg.DedupCapacity)
 	s.innerBuf = inner.AppendMarshal(s.innerBuf[:0])
-	innerBytes := s.innerBuf
-	if s.batchEnabled() {
-		s.enqueueReading(ctx, innerBytes, s.id, s.readingSeq)
-	} else {
-		s.sendData(ctx, innerBytes, s.id, s.readingSeq)
-	}
-	s.trackPending(ctx, innerBytes, s.id, s.readingSeq)
+	s.relayReading(ctx, s.innerBuf, s.id, s.readingSeq)
 	return s.readingSeq, true
 }
 
@@ -103,90 +97,6 @@ func (s *Sensor) SendReading(ctx node.Context, data []byte) (uint32, bool) {
 // another node's reading. Exported as part of the wire contract.
 func InnerAAD(origin node.ID) []byte {
 	return []byte{0xE2, byte(origin >> 24), byte(origin >> 16), byte(origin >> 8), byte(origin)}
-}
-
-// sendData performs Step 2 for this hop: wrap the inner envelope with the
-// sender's cluster key, fresh timestamp, and gradient height, and make the
-// single broadcast.
-func (s *Sensor) sendData(ctx node.Context, innerBytes []byte, origin node.ID, seq uint32) {
-	d := &wire.Data{
-		Tau:    int64(ctx.Now()),
-		SrcCID: s.ks.CID,
-		Origin: origin,
-		Seq:    seq,
-		Hop:    s.hop,
-		Inner:  innerBytes,
-	}
-	s.bodyBuf = d.AppendMarshal(s.bodyBuf[:0])
-	ctx.Broadcast(s.sealFrame(ctx, wire.TData, s.ks.CID, s.ks.ClusterKey, s.bodyBuf))
-}
-
-// onData verifies, deduplicates, and either terminates (base station) or
-// re-wraps and forwards a data message.
-func (s *Sensor) onData(ctx node.Context, f *wire.Frame, _ []byte) {
-	if s.phase != PhaseOperational || !s.ks.InCluster {
-		return
-	}
-	body, ok := s.openWithEpochFallback(ctx, f)
-	if !ok {
-		return // not a neighboring cluster, or forged: drop
-	}
-	// Decoded in place: d.Inner aliases the open scratch, which stays
-	// untouched for the rest of this handler (everything that outlives
-	// the callback — pending-retry copies, arena-backed deliveries, the
-	// per-receiver radio copy — copies out of it).
-	var dv wire.Data
-	d := &dv
-	if err := wire.UnmarshalDataInto(d, body); err != nil {
-		return
-	}
-	// The CID inside the encryption must match the selector outside it.
-	if d.SrcCID != f.CID {
-		return
-	}
-	// Freshness: τ is restamped at every hop, so a tight window suffices.
-	// The lower bound admits SkewTolerance of apparent future-ness: zero
-	// in simulation (shared virtual clock), nonzero across real
-	// processes whose clocks started at different instants.
-	age := int64(ctx.Now()) - d.Tau
-	if age < -int64(s.cfg.SkewTolerance) || age > int64(s.cfg.FreshWindow) {
-		return
-	}
-	// Implicit acknowledgement: overhearing our own pending (origin, seq)
-	// relayed by a strictly-lower-hop node — or echoed by the base station
-	// at hop 0 — means the message progressed toward the sink. This must
-	// run before duplicate suppression, because the sender remembered the
-	// pair when it transmitted.
-	if len(s.pendingAcks) > 0 && d.Hop < s.hop {
-		k := dedupKey{d.Origin, d.Seq}
-		if _, ok := s.pendingAcks[k]; ok {
-			delete(s.pendingAcks, k)
-			s.degraded = false
-		}
-	}
-	if !s.dedup.insert(dedupKey{d.Origin, d.Seq}, s.cfg.DedupCapacity) {
-		return
-	}
-
-	if s.bs != nil {
-		s.deliver(ctx, d.Origin, d.Seq, d.Inner)
-		return
-	}
-	if s.Malice.DropData {
-		return // selective-forwarding attacker swallows it
-	}
-	// Gradient rule: forward only if the previous hop was farther from
-	// the base station than we are (unless flooding is configured).
-	if !s.cfg.FloodForwarding && (s.hop == HopUnknown || d.Hop <= s.hop) {
-		return
-	}
-	// Data-fusion peek: with Step 1 disabled the reading is visible to
-	// every forwarder holding the cluster key; the application may
-	// discard redundant reports here.
-	if !s.peekAllows(d.Origin, d.Seq, d.Inner) {
-		return
-	}
-	s.relayReading(ctx, d.Inner, d.Origin, d.Seq)
 }
 
 // peekAllows consults the data-fusion Peek hook for a plaintext
@@ -203,15 +113,10 @@ func (s *Sensor) peekAllows(origin node.ID, seq uint32, innerBytes []byte) bool 
 	return true
 }
 
-// relayReading re-wraps one verified reading for the next hop — directly
-// as a TData, or through the batch queue when batching is on — and
-// registers it for ack-gated retry.
+// relayReading queues one verified (or just originated) reading for the
+// next hop's DATA frame and registers it for ack-gated retry.
 func (s *Sensor) relayReading(ctx node.Context, innerBytes []byte, origin node.ID, seq uint32) {
-	if s.batchEnabled() {
-		s.enqueueReading(ctx, innerBytes, origin, seq)
-	} else {
-		s.sendData(ctx, innerBytes, origin, seq)
-	}
+	s.enqueueReading(ctx, innerBytes, origin, seq)
 	s.trackPending(ctx, innerBytes, origin, seq)
 }
 
@@ -280,15 +185,11 @@ func (s *Sensor) deliver(ctx node.Context, origin node.ID, seq uint32, innerByte
 		// overhear a downstream relay (there is none), so without this
 		// they would retry deliveries that already landed; the gradient
 		// rule (Hop 0 <= anyone's hop) keeps the echo from propagating.
-		s.sendData(ctx, innerBytes, origin, seq)
+		s.sendOne(ctx, innerBytes, origin, seq)
 	}
 }
 
-// --- batched sealing (Config.BatchSize > 1; docs/THROUGHPUT.md) ---
-
-// batchEnabled reports whether the data plane batches readings. At 0 or
-// 1 the classic one-reading-per-TData path runs byte-identically.
-func (s *Sensor) batchEnabled() bool { return s.cfg.BatchSize > 1 }
+// --- DATA frames: one reading or a batch (docs/THROUGHPUT.md) ---
 
 // batchEntry is one queued reading: its (origin, seq) identity plus the
 // position of its inner envelope in the shared batchBuf slab.
@@ -300,7 +201,7 @@ type batchEntry struct {
 }
 
 // maxBatchBytes and maxBatchCount cap the queued inner bytes and tuple
-// count per batch so the sealed payload (inners + 10 bytes of per-tuple
+// count per frame so the sealed payload (inners + 10 bytes of per-tuple
 // framing + header + seal overhead) can never approach wire.MaxPayload,
 // whatever BatchSize says.
 const (
@@ -308,9 +209,11 @@ const (
 	maxBatchCount = 2048
 )
 
-// enqueueReading queues one inner envelope for the next batch flush,
-// flushing immediately when the batch fills (by count or bytes). The
-// first queued entry arms the deadline flush.
+// enqueueReading queues one inner envelope for the next DATA frame,
+// flushing immediately when the queue fills (by count or bytes). With
+// BatchSize <= 1 every reading fills it, so the frame goes out at once
+// with no timer armed; otherwise the first queued entry arms the
+// deadline flush.
 func (s *Sensor) enqueueReading(ctx node.Context, inner []byte, origin node.ID, seq uint32) {
 	if len(s.batchBuf)+len(inner) > maxBatchBytes {
 		s.flushBatch(ctx)
@@ -336,37 +239,48 @@ func (s *Sensor) batchFlushTick(ctx node.Context) {
 	if s.phase != PhaseOperational || !s.ks.InCluster {
 		// Evicted or rebooted with readings still queued: they must not
 		// go out under whatever key the node holds next.
-		s.batchQ = s.batchQ[:0]
-		s.batchBuf = s.batchBuf[:0]
+		s.dropBatchQueue()
 		return
 	}
 	s.flushBatch(ctx)
 }
 
-// flushBatch seals every queued reading as one TDataBatch under the
-// current cluster key and broadcasts it.
+// flushBatch seals every queued reading into one DATA frame.
 func (s *Sensor) flushBatch(ctx node.Context) {
 	if len(s.batchQ) == 0 {
 		return
 	}
 	s.batchReadings = s.batchReadings[:0]
 	for _, e := range s.batchQ {
-		s.batchReadings = append(s.batchReadings, wire.BatchReading{
+		s.batchReadings = append(s.batchReadings, wire.Reading{
 			Origin: e.origin,
 			Seq:    e.seq,
 			Inner:  s.batchBuf[e.off : e.off+e.n],
 		})
 	}
-	b := &wire.DataBatch{
+	s.sealData(ctx, s.batchReadings)
+	s.dropBatchQueue()
+}
+
+// sendOne seals a one-reading DATA frame outside the queue: ack-gated
+// retries and the base station's hop-0 delivery echo.
+func (s *Sensor) sendOne(ctx node.Context, inner []byte, origin node.ID, seq uint32) {
+	one := [1]wire.Reading{{Origin: origin, Seq: seq, Inner: inner}}
+	s.sealData(ctx, one[:])
+}
+
+// sealData performs Step 2 for this hop: wrap the readings' inner
+// envelopes with the sender's cluster key, a fresh timestamp and the
+// gradient height, and make the single broadcast.
+func (s *Sensor) sealData(ctx node.Context, readings []wire.Reading) {
+	d := wire.Data{
 		Tau:      int64(ctx.Now()),
 		SrcCID:   s.ks.CID,
 		Hop:      s.hop,
-		Readings: s.batchReadings,
+		Readings: readings,
 	}
-	s.bodyBuf = b.AppendMarshal(s.bodyBuf[:0])
-	ctx.Broadcast(s.sealFrame(ctx, wire.TDataBatch, s.ks.CID, s.ks.ClusterKey, s.bodyBuf))
-	s.batchQ = s.batchQ[:0]
-	s.batchBuf = s.batchBuf[:0]
+	s.bodyBuf = d.AppendMarshal(s.bodyBuf[:0])
+	ctx.Broadcast(s.sealFrame(ctx, wire.TData, s.ks.CID, s.ks.ClusterKey, s.bodyBuf))
 }
 
 // dropBatchQueue discards queued-but-unflushed readings (eviction from
@@ -376,47 +290,59 @@ func (s *Sensor) dropBatchQueue() {
 	s.batchBuf = s.batchBuf[:0]
 }
 
-// onDataBatch verifies a batched envelope once (one open, one freshness
-// check) and then runs the per-reading pipeline — implicit acks, dedup,
-// base-station delivery or forwarding — tuple by tuple, exactly as if
-// each had arrived in its own TData.
-func (s *Sensor) onDataBatch(ctx node.Context, f *wire.Frame) {
+// onData verifies a DATA frame once (one open, one freshness check) and
+// then runs the per-reading pipeline — implicit acks, dedup, base-station
+// delivery or forwarding — tuple by tuple.
+func (s *Sensor) onData(ctx node.Context, f *wire.Frame) {
 	if s.phase != PhaseOperational || !s.ks.InCluster {
 		return
 	}
 	body, ok := s.openWithEpochFallback(ctx, f)
 	if !ok {
-		return
+		return // not a neighboring cluster, or forged: drop
 	}
-	b := &s.rxBatch
-	if err := wire.UnmarshalDataBatchInto(b, body); err != nil {
+	// Decoded in place: the Inner slices alias the open scratch, which
+	// stays untouched for the rest of this handler (everything that
+	// outlives the callback — the queue slab, pending-retry copies,
+	// arena-backed deliveries, the per-receiver radio copy — copies out
+	// of it).
+	d := &s.rxData
+	if err := wire.UnmarshalDataInto(d, body); err != nil {
 		return
 	}
 	// The CID inside the encryption must match the selector outside it.
-	if b.SrcCID != f.CID {
+	if d.SrcCID != f.CID {
 		return
 	}
-	// Freshness applies to the whole batch: the flusher stamped τ once.
-	age := int64(ctx.Now()) - b.Tau
+	// Freshness: τ is restamped at every hop, so a tight window suffices.
+	// The lower bound admits SkewTolerance of apparent future-ness: zero
+	// in simulation (shared virtual clock), nonzero across real
+	// processes whose clocks started at different instants.
+	age := int64(ctx.Now()) - d.Tau
 	if age < -int64(s.cfg.SkewTolerance) || age > int64(s.cfg.FreshWindow) {
 		return
 	}
-	// Implicit acknowledgement per tuple, before duplicate suppression
-	// (mirrors onData): a lower-hop batch relaying our pending readings
-	// acks every one it carries.
-	if len(s.pendingAcks) > 0 && b.Hop < s.hop {
-		for i := range b.Readings {
-			k := dedupKey{b.Readings[i].Origin, b.Readings[i].Seq}
+	// Implicit acknowledgement: overhearing our own pending (origin, seq)
+	// relayed by a strictly-lower-hop node — or echoed by the base station
+	// at hop 0 — means the message progressed toward the sink. This must
+	// run before duplicate suppression, because the sender remembered the
+	// pair when it transmitted.
+	if len(s.pendingAcks) > 0 && d.Hop < s.hop {
+		for i := range d.Readings {
+			k := dedupKey{d.Readings[i].Origin, d.Readings[i].Seq}
 			if _, ok := s.pendingAcks[k]; ok {
 				delete(s.pendingAcks, k)
 				s.degraded = false
 			}
 		}
 	}
+	// Gradient rule: forward only if the previous hop was farther from
+	// the base station than we are (unless flooding is configured). A
+	// selective-forwarding attacker swallows everything.
 	forward := s.bs == nil && !s.Malice.DropData &&
-		(s.cfg.FloodForwarding || (s.hop != HopUnknown && b.Hop > s.hop))
-	for i := range b.Readings {
-		rd := &b.Readings[i]
+		(s.cfg.FloodForwarding || (s.hop != HopUnknown && d.Hop > s.hop))
+	for i := range d.Readings {
+		rd := &d.Readings[i]
 		if !s.dedup.insert(dedupKey{rd.Origin, rd.Seq}, s.cfg.DedupCapacity) {
 			continue
 		}
@@ -424,10 +350,10 @@ func (s *Sensor) onDataBatch(ctx node.Context, f *wire.Frame) {
 			s.deliver(ctx, rd.Origin, rd.Seq, rd.Inner)
 			continue
 		}
-		if !forward {
-			continue
-		}
-		if !s.peekAllows(rd.Origin, rd.Seq, rd.Inner) {
+		// Data-fusion peek: with Step 1 disabled the reading is visible
+		// to every forwarder holding the cluster key; the application
+		// may discard redundant reports here.
+		if !forward || !s.peekAllows(rd.Origin, rd.Seq, rd.Inner) {
 			continue
 		}
 		s.relayReading(ctx, rd.Inner, rd.Origin, rd.Seq)
@@ -541,7 +467,7 @@ func (s *Sensor) dataRetryTick(ctx node.Context) {
 		p.attempts++
 		s.om.dataRetx.Inc()
 		s.cfg.Obs.Emit(now, obs.KindRetransmit, int(s.id), s.ks.CID, "data")
-		s.sendData(ctx, p.inner, k.origin, k.seq)
+		s.sendOne(ctx, p.inner, k.origin, k.seq)
 		p.nextAt = now + s.dataBackoff(ctx, p.attempts)
 		if p.nextAt < min {
 			min = p.nextAt

@@ -510,7 +510,7 @@ func TestTamperedDataRejected(t *testing.T) {
 	// know; every receiver must fail authentication and drop it.
 	var evil crypt.Key
 	evil[0] = 0x13
-	dd := &wire.Data{Tau: int64(d.Eng.Now()), SrcCID: 1, Origin: 5, Seq: 1, Inner: []byte("x")}
+	dd := &wire.Data{Tau: int64(d.Eng.Now()), SrcCID: 1, Readings: []wire.Reading{{Origin: 5, Seq: 1, Inner: []byte("x")}}}
 	sealed := crypt.Seal(evil, 1, FrameAAD(wire.TData, 1), dd.Marshal())
 	pkt, _ := (&wire.Frame{Type: wire.TData, CID: 1, Nonce: 1, Payload: sealed}).Marshal()
 	before := len(d.Deliveries())
@@ -554,7 +554,7 @@ func TestStep1ReplayRejectedAtBS(t *testing.T) {
 
 	inner := &wire.Inner{Src: node.ID(src), Counter: 1, Encrypted: true,
 		Sealed: crypt.Seal(d.Auth.NodeKey(node.ID(src)), 1, InnerAAD(node.ID(src)), []byte("once"))}
-	dd := &wire.Data{SrcCID: cid, Origin: node.ID(src), Seq: 99, Hop: 5, Inner: inner.Marshal()}
+	dd := &wire.Data{SrcCID: cid, Hop: 5, Readings: []wire.Reading{{Origin: node.ID(src), Seq: 99, Inner: inner.Marshal()}}}
 	before := len(d.Deliveries())
 	d.Eng.Schedule(d.Eng.Now()+time.Millisecond, func() {
 		dd.Tau = int64(d.Eng.Now())
@@ -585,7 +585,8 @@ func TestStaleDataRejected(t *testing.T) {
 		Sealed: crypt.Seal(d.Auth.NodeKey(node.ID(relay)), 1, InnerAAD(node.ID(relay)), []byte("old"))}
 	stale := &wire.Data{
 		Tau:    int64(d.Eng.Now()) - int64(10*time.Second), // far too old
-		SrcCID: cid, Origin: node.ID(relay), Seq: 1, Hop: 5, Inner: inner.Marshal(),
+		SrcCID: cid, Hop: 5,
+		Readings: []wire.Reading{{Origin: node.ID(relay), Seq: 1, Inner: inner.Marshal()}},
 	}
 	nonce := uint64(relay)<<32 | 0xFFFE
 	sealed := crypt.Seal(kc, nonce, FrameAAD(wire.TData, cid), stale.Marshal())

@@ -202,17 +202,18 @@ type Sensor struct {
 	retryDue []dedupKey
 	degraded bool
 
-	// Data-plane batching (active when cfg.BatchSize > 1). Queued
-	// readings live as (origin, seq, offset) entries over one slab so
-	// steady-state batching allocates nothing; batchReadings is the
-	// flush-time view handed to the DataBatch marshaler.
+	// DATA-frame queue. Queued readings live as (origin, seq, offset)
+	// entries over one slab so steady-state sending allocates nothing;
+	// batchReadings is the flush-time view handed to the Data
+	// marshaler. With cfg.BatchSize <= 1 the queue empties on every
+	// enqueue.
 	batchQ        []batchEntry
 	batchBuf      []byte
-	batchReadings []wire.BatchReading
+	batchReadings []wire.Reading
 	batchArmed    bool
-	// rxBatch is decode scratch for incoming DataBatch frames; its
-	// Inner slices alias openBuf, so it is only valid inside onDataBatch.
-	rxBatch wire.DataBatch
+	// rxData is decode scratch for incoming DATA frames; its Inner
+	// slices alias openBuf, so it is only valid inside onData.
+	rxData wire.Data
 
 	// Mobility handoff state (active when cfg.HandoffEnabled; see
 	// docs/MOBILITY.md). mobile marks a node provisioned with both Km
@@ -639,9 +640,7 @@ func (s *Sensor) Receive(ctx node.Context, from node.ID, pkt []byte) {
 	case wire.TLinkAdvert:
 		s.onLinkAdvert(ctx, f)
 	case wire.TData:
-		s.onData(ctx, f, pkt)
-	case wire.TDataBatch:
-		s.onDataBatch(ctx, f)
+		s.onData(ctx, f)
 	case wire.TBeacon:
 		s.onBeacon(ctx, f)
 	case wire.TRevoke:

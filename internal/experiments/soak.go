@@ -150,8 +150,8 @@ type SoakRun struct {
 // PrepareSoak stands up one deployment for (point, trial) at the
 // family-default load, runs key setup, and computes the send schedule,
 // without injecting anything yet. batch > 1 turns on batched sealing
-// (core.Config.BatchSize); batch <= 1 runs the classic
-// one-reading-per-frame path.
+// (core.Config.BatchSize); batch <= 1 sends each reading in its own
+// DATA frame at once.
 func PrepareSoak(o Options, model string, batch, point, trial int) (*SoakRun, error) {
 	return PrepareSoakLoad(o, model, batch, point, trial, SoakLoad{})
 }
@@ -162,6 +162,7 @@ func PrepareSoakLoad(o Options, model string, batch, point, trial int, load Soak
 	load = load.withDefaults()
 	cfg := core.DefaultConfig()
 	cfg.DataRetries = 2
+	cfg.BatchSize = batch
 	if load.FlushDelay > 0 {
 		cfg.BatchFlushDelay = load.FlushDelay
 	}
@@ -177,7 +178,6 @@ func PrepareSoakLoad(o Options, model string, batch, point, trial int, load Soak
 		Seed:   xrand.TrialSeed(o.Seed, point, trial),
 		Obs:    o.scope("soak-"+model, point, trial),
 		Shards: o.Shards,
-		Batch:  batch,
 	})
 	if err != nil {
 		return nil, err
@@ -250,8 +250,8 @@ type SoakResult struct {
 
 // Soak runs the sustained-throughput comparison: for each traffic model
 // it deploys o.Trials networks and runs the identical send schedule
-// twice — batched sealing at the given batch size, then the classic
-// path — at identical seeds. batch <= 0 defaults to 8.
+// twice — batched sealing at the given batch size, then one reading
+// per frame — at identical seeds. batch <= 0 defaults to 8.
 func Soak(o Options, models []string, batch int) (*SoakResult, error) {
 	o = o.withDefaults()
 	if len(models) == 0 {

@@ -13,12 +13,10 @@ import (
 func ExampleFrame() {
 	kc := crypt.KeyFromBytes([]byte("cluster 13's key"))
 	body := (&wire.Data{
-		Tau:    1_000_000,
-		SrcCID: 13,
-		Origin: 14,
-		Seq:    1,
-		Hop:    5,
-		Inner:  []byte("c1"),
+		Tau:      1_000_000,
+		SrcCID:   13,
+		Hop:      5,
+		Readings: []wire.Reading{{Origin: 14, Seq: 1, Inner: []byte("c1")}},
 	}).Marshal()
 
 	const nonce = (14 << 32) | 1 // sender ID || per-sender counter
@@ -38,9 +36,11 @@ func ExampleFrame() {
 		fmt.Println("authentication failed")
 		return
 	}
-	d, _ := wire.UnmarshalData(pt)
+	var d wire.Data
+	_ = wire.UnmarshalDataInto(&d, pt)
+	rd := d.Readings[0]
 	fmt.Printf("%s from cluster %d: origin=%d seq=%d hop=%d inner=%q\n",
-		parsed.Type, parsed.CID, d.Origin, d.Seq, d.Hop, d.Inner)
+		parsed.Type, parsed.CID, rd.Origin, rd.Seq, d.Hop, rd.Inner)
 	// Output:
 	// DATA from cluster 13: origin=14 seq=1 hop=5 inner="c1"
 }

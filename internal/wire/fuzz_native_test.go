@@ -55,7 +55,8 @@ func FuzzUnmarshalBodies(f *testing.F) {
 	f.Add(byte(0), (&Hello{HeadID: 3}).Marshal())
 	f.Add(byte(1), (&LinkAdvert{CID: 2}).Marshal())
 	f.Add(byte(2), (&Inner{Src: 4, Counter: 9, Encrypted: true, Sealed: []byte{5}}).Marshal())
-	f.Add(byte(3), (&Data{Tau: 1, SrcCID: 2, Origin: 3, Seq: 4, Inner: []byte{6}}).Marshal())
+	f.Add(byte(3), (&Data{Tau: 1, SrcCID: 2, Readings: []Reading{{Origin: 3, Seq: 4, Inner: []byte{6}}}}).Marshal())
+	f.Add(byte(3), threeReadings().Marshal())
 	f.Add(byte(4), (&Beacon{Round: 2, Hop: 1}).Marshal())
 	f.Add(byte(5), (&Revoke{Index: 1, CIDs: []uint32{2, 3}}).Marshal())
 	f.Add(byte(6), (&JoinReq{NodeID: 8}).Marshal())
@@ -64,9 +65,9 @@ func FuzzUnmarshalBodies(f *testing.F) {
 	f.Add(byte(9), (&KeepAlive{CID: 1, HeadID: 1, Epoch: 0}).Marshal())
 	f.Add(byte(10), (&Repair{CID: 1, NewHead: 2, Epoch: 0}).Marshal())
 	f.Add(byte(11), (&AuthorityMsg{Kind: AKDeal, Session: 1, From: 2, Body: []byte{7}}).Marshal())
-	f.Add(byte(12), (&DataBatch{Tau: 1, SrcCID: 2, Readings: []BatchReading{{Origin: 3, Seq: 4, Inner: []byte{6}}}}).Marshal())
 	f.Fuzz(func(t *testing.T, sel byte, b []byte) {
-		switch sel % 13 {
+		var d Data
+		switch sel % 12 {
 		case 0:
 			_, _ = UnmarshalHello(b)
 		case 1:
@@ -74,7 +75,7 @@ func FuzzUnmarshalBodies(f *testing.F) {
 		case 2:
 			_, _ = UnmarshalInner(b)
 		case 3:
-			_, _ = UnmarshalData(b)
+			_ = UnmarshalDataInto(&d, b)
 		case 4:
 			_, _ = UnmarshalBeacon(b)
 		case 5:
@@ -91,27 +92,33 @@ func FuzzUnmarshalBodies(f *testing.F) {
 			_, _ = UnmarshalRepair(b)
 		case 11:
 			_, _ = UnmarshalAuthorityMsg(b)
-		case 12:
-			_, _ = UnmarshalDataBatch(b)
 		}
 	})
 }
 
-// FuzzDataBatch drives the batched-data codec. Batches are the data
-// plane's throughput envelope (docs/THROUGHPUT.md): beyond no-panic, the
-// decoder must be a bijection on accepted inputs — whatever parses
-// re-marshals to the identical bytes, because forwarders re-seal the
-// exact encoding hop by hop and the outer MAC covers it.
-func FuzzDataBatch(f *testing.F) {
-	f.Add((&DataBatch{Tau: 7, SrcCID: 3, Hop: 2, Readings: []BatchReading{
+// threeReadings is a three-tuple Data body, one tuple with an empty
+// inner.
+func threeReadings() *Data {
+	return &Data{Tau: 7, SrcCID: 3, Hop: 2, Readings: []Reading{
 		{Origin: 9, Seq: 1, Inner: []byte{1, 2, 3}},
 		{Origin: 10, Seq: 2, Inner: nil},
-	}}).Marshal())
-	f.Add((&DataBatch{}).Marshal())
+		{Origin: 11, Seq: 3, Inner: []byte{4}},
+	}}
+}
+
+// FuzzData drives the DATA codec, the data plane's envelope for one
+// reading or many (docs/THROUGHPUT.md): beyond no-panic, the decoder
+// must be a bijection on accepted inputs — whatever parses re-marshals
+// to the identical bytes, because forwarders re-seal the exact encoding
+// hop by hop and the outer MAC covers it.
+func FuzzData(f *testing.F) {
+	f.Add((&Data{Tau: 1, SrcCID: 2, Hop: 5, Readings: []Reading{{Origin: 3, Seq: 4, Inner: []byte{6}}}}).Marshal())
+	f.Add(threeReadings().Marshal())
+	f.Add((&Data{}).Marshal())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := UnmarshalDataBatch(b)
-		if err != nil {
+		var m Data
+		if err := UnmarshalDataInto(&m, b); err != nil {
 			return
 		}
 		re := m.Marshal()

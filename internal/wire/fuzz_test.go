@@ -18,7 +18,7 @@ func TestParseNeverPanicsOnRandomBytes(t *testing.T) {
 		{"hello", func(b []byte) error { _, err := UnmarshalHello(b); return err }},
 		{"linkadvert", func(b []byte) error { _, err := UnmarshalLinkAdvert(b); return err }},
 		{"inner", func(b []byte) error { _, err := UnmarshalInner(b); return err }},
-		{"data", func(b []byte) error { _, err := UnmarshalData(b); return err }},
+		{"data", func(b []byte) error { var d Data; return UnmarshalDataInto(&d, b) }},
 		{"beacon", func(b []byte) error { _, err := UnmarshalBeacon(b); return err }},
 		{"revoke", func(b []byte) error { _, err := UnmarshalRevoke(b); return err }},
 		{"joinreq", func(b []byte) error { _, err := UnmarshalJoinReq(b); return err }},

@@ -143,17 +143,34 @@ func UnmarshalInnerInto(m *Inner, b []byte) error {
 }
 
 // Data is y2 of Section IV-C Step 2 before sealing: the hop-by-hop
-// envelope. Tau is the paper's freshness timestamp τ; SrcCID is the
-// sender's cluster ID, carried redundantly *inside* the encryption as the
-// paper specifies (the outer frame's CID is authenticated-but-visible).
-// Origin/Seq identify the end-to-end flow for duplicate suppression, and
-// Hop carries the forwarder's gradient height for the routing substrate.
+// envelope a forwarder broadcasts once per hop. Tau is the paper's
+// freshness timestamp τ; SrcCID is the sender's cluster ID, carried
+// redundantly *inside* the encryption as the paper specifies (the outer
+// frame's CID is authenticated-but-visible); Hop carries the forwarder's
+// gradient height for the routing substrate. All three apply to the
+// frame as a whole. Readings holds one or more per-origin tuples
+// (docs/THROUGHPUT.md): one for a lone reading, several when the sender
+// batches.
+//
+// Encoding: be64(τ) ‖ be32(srcCID) ‖ be16(hop), then the tuples
+// be32(origin) ‖ be32(seq) ‖ len16+inner back to back until the body
+// ends. There is no count field: the outer seal authenticates the body
+// length, so a one-reading body is exactly 24 bytes plus its inner.
 type Data struct {
-	Tau    int64 // sender's clock at (re-)encryption time, ns of virtual time
-	SrcCID uint32
+	Tau      int64 // sender's clock at (re-)encryption time, ns of virtual time
+	SrcCID   uint32
+	Hop      uint16 // forwarder's hop distance to the base station
+	Readings []Reading
+}
+
+// Reading is one (origin, seq, inner) tuple inside a Data body. Origin
+// and Seq identify the end-to-end flow for duplicate suppression; Inner
+// is the origin's Step-1 envelope, independently sealed under its node
+// key with the origin bound into its AAD, so sharing one cluster-key
+// seal among several readings leaves per-origin authenticity intact.
+type Reading struct {
 	Origin uint32 // ID of the node whose reading this is
 	Seq    uint32 // per-origin sequence number
-	Hop    uint16 // forwarder's hop distance to the base station
 	Inner  []byte // marshaled Inner (c1)
 }
 
@@ -167,44 +184,37 @@ func (m *Data) AppendMarshal(dst []byte) []byte {
 	w := writer{buf: dst}
 	w.i64(m.Tau)
 	w.u32(m.SrcCID)
-	w.u32(m.Origin)
-	w.u32(m.Seq)
 	w.u16(m.Hop)
-	w.bytes(m.Inner)
+	for i := range m.Readings {
+		w.u32(m.Readings[i].Origin)
+		w.u32(m.Readings[i].Seq)
+		w.bytes(m.Readings[i].Inner)
+	}
 	return w.buf
 }
 
-// UnmarshalData decodes a Data body.
-func UnmarshalData(b []byte) (*Data, error) {
-	r := reader{buf: b}
-	m := &Data{
-		Tau:    r.i64(),
-		SrcCID: r.u32(),
-		Origin: r.u32(),
-		Seq:    r.u32(),
-		Hop:    r.u16(),
-	}
-	m.Inner = r.bytes()
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// UnmarshalDataInto decodes a Data body into m without allocating:
-// m.Inner aliases b. The forwarding hot path uses it; callers that
-// retain the envelope past the radio callback must copy Inner (or use
-// UnmarshalData, which copies).
+// UnmarshalDataInto decodes a Data body into m, reusing m.Readings'
+// capacity; with warmed scratch the call allocates nothing. The Inner
+// slices alias b, so they are only valid as long as the caller's buffer
+// is — the forwarding hot path copies what it keeps (batch slab, retry
+// queue, delivery arena). A body that ends after its header, or inside
+// a tuple, is ErrTruncated.
 func UnmarshalDataInto(m *Data, b []byte) error {
 	r := reader{buf: b}
 	m.Tau = r.i64()
 	m.SrcCID = r.u32()
-	m.Origin = r.u32()
-	m.Seq = r.u32()
 	m.Hop = r.u16()
-	n := int(r.u16())
-	m.Inner = r.take(n)
-	return r.done()
+	m.Readings = m.Readings[:0]
+	for r.err == nil && len(r.buf) > 0 {
+		origin := r.u32()
+		seq := r.u32()
+		inner := r.take(int(r.u16()))
+		m.Readings = append(m.Readings, Reading{Origin: origin, Seq: seq, Inner: inner})
+	}
+	if len(m.Readings) == 0 {
+		return ErrTruncated
+	}
+	return r.err
 }
 
 // Beacon is the routing-gradient announcement flooded from the base
@@ -459,82 +469,4 @@ func UnmarshalRepair(b []byte) (*Repair, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// BatchReading is one (origin, seq, inner) tuple inside a DataBatch.
-// Inner is a marshaled Inner (c1) exactly as a single TData would carry
-// it: independently sealed under the origin's node key with the origin
-// bound into its AAD, so batching amortizes the *outer* cluster-key seal
-// without weakening per-origin authenticity.
-type BatchReading struct {
-	Origin uint32 // ID of the node whose reading this is
-	Seq    uint32 // per-origin sequence number
-	Inner  []byte // marshaled Inner (c1)
-}
-
-// DataBatch is the batched counterpart of Data (docs/THROUGHPUT.md): one
-// hop-by-hop envelope carrying N readings under a single cluster-key
-// seal. Tau and Hop play exactly their Data roles — the freshness
-// timestamp τ and the forwarder's gradient height apply to the batch as
-// a whole — while duplicate suppression and base-station attribution
-// remain per tuple.
-type DataBatch struct {
-	Tau      int64  // sender's clock at (re-)encryption time, ns of virtual time
-	SrcCID   uint32 // sender's cluster ID, carried redundantly inside the seal
-	Hop      uint16 // forwarder's hop distance to the base station
-	Readings []BatchReading
-}
-
-// Marshal encodes the body.
-func (m *DataBatch) Marshal() []byte { return m.AppendMarshal(nil) }
-
-// AppendMarshal appends the encoded body to dst and returns the
-// extended slice; reusable scratch with spare capacity makes the call
-// allocation-free.
-func (m *DataBatch) AppendMarshal(dst []byte) []byte {
-	w := writer{buf: dst}
-	w.i64(m.Tau)
-	w.u32(m.SrcCID)
-	w.u16(m.Hop)
-	w.u16(uint16(len(m.Readings)))
-	for i := range m.Readings {
-		w.u32(m.Readings[i].Origin)
-		w.u32(m.Readings[i].Seq)
-		w.bytes(m.Readings[i].Inner)
-	}
-	return w.buf
-}
-
-// UnmarshalDataBatch decodes a DataBatch body. Inner slices are copies,
-// so the result outlives the input buffer.
-func UnmarshalDataBatch(b []byte) (*DataBatch, error) {
-	m := &DataBatch{}
-	if err := UnmarshalDataBatchInto(m, b); err != nil {
-		return nil, err
-	}
-	for i := range m.Readings {
-		m.Readings[i].Inner = append([]byte(nil), m.Readings[i].Inner...)
-	}
-	return m, nil
-}
-
-// UnmarshalDataBatchInto decodes a DataBatch body into m, reusing
-// m.Readings' capacity; with warmed scratch the call allocates nothing.
-// Like UnmarshalDataInto, the Inner slices alias b, so they are only
-// valid as long as the caller's buffer is — relays on the hot receive
-// path copy what they keep (batch slab, retry queue, delivery arena).
-func UnmarshalDataBatchInto(m *DataBatch, b []byte) error {
-	r := reader{buf: b}
-	m.Tau = r.i64()
-	m.SrcCID = r.u32()
-	m.Hop = r.u16()
-	n := int(r.u16())
-	m.Readings = m.Readings[:0]
-	for i := 0; i < n && r.err == nil; i++ {
-		origin := r.u32()
-		seq := r.u32()
-		inner := r.take(int(r.u16()))
-		m.Readings = append(m.Readings, BatchReading{Origin: origin, Seq: seq, Inner: inner})
-	}
-	return r.done()
 }

@@ -32,7 +32,7 @@ type Type byte
 const (
 	THello      Type = 1  // clusterhead announcement, sealed under Km (Section IV-B.1)
 	TLinkAdvert Type = 2  // cluster-key advert, sealed under Km (Section IV-B.2)
-	TData       Type = 3  // hop-by-hop wrapped data, sealed under a cluster key (Section IV-C)
+	TData       Type = 3  // hop-by-hop wrapped readings, sealed under a cluster key (Section IV-C)
 	TBeacon     Type = 4  // routing-gradient beacon, sealed under a cluster key
 	TRevoke     Type = 5  // revocation command authenticated by the key chain (Section IV-D)
 	TJoinReq    Type = 6  // new node hello, plaintext (Section IV-E)
@@ -41,7 +41,10 @@ const (
 	TKeepAlive  Type = 9  // clusterhead liveness heartbeat, sealed under the cluster key
 	TRepair     Type = 10 // headship claim after a head crash, sealed under the cluster key
 	TAuthority  Type = 11 // threshold-authority round message (internal/authority)
-	TDataBatch  Type = 12 // batched data readings, sealed under a cluster key (docs/THROUGHPUT.md)
+	// TDataBatch is retired: TData carries one reading or many, so
+	// nothing sends type 12 and receivers drop it. The value stays
+	// reserved, and parses, so frame counters can still name it.
+	TDataBatch Type = 12
 )
 
 // String returns the message type mnemonic.

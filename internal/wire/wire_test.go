@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -140,21 +141,89 @@ func TestInnerRejectsBadFlag(t *testing.T) {
 	}
 }
 
-func TestDataRoundtrip(t *testing.T) {
-	f := func(tau int64, cid, origin, seq uint32, hop uint16, inner []byte) bool {
-		if len(inner) > 1024 {
-			inner = inner[:1024]
-		}
-		in := &Data{Tau: tau, SrcCID: cid, Origin: origin, Seq: seq, Hop: hop, Inner: inner}
-		out, err := UnmarshalData(in.Marshal())
-		if err != nil {
+// sameData reports whether two Data bodies carry the same header and
+// readings (nil and empty Inner compare equal).
+func sameData(a, b *Data) bool {
+	if a.Tau != b.Tau || a.SrcCID != b.SrcCID || a.Hop != b.Hop || len(a.Readings) != len(b.Readings) {
+		return false
+	}
+	for i := range a.Readings {
+		x, y := a.Readings[i], b.Readings[i]
+		if x.Origin != y.Origin || x.Seq != y.Seq || !bytes.Equal(x.Inner, y.Inner) {
 			return false
 		}
-		return out.Tau == in.Tau && out.SrcCID == in.SrcCID && out.Origin == in.Origin &&
-			out.Seq == in.Seq && out.Hop == in.Hop && bytes.Equal(out.Inner, in.Inner)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	return true
+}
+
+// checkDataRoundtrip encodes each body, checks its length against the
+// layout (14 header bytes, then 10 bytes of framing per tuple plus the
+// tuple's inner), and decodes it back.
+func checkDataRoundtrip(t *testing.T, cases map[string]*Data) {
+	t.Helper()
+	for name, in := range cases {
+		body := in.Marshal()
+		want := 14
+		for _, rd := range in.Readings {
+			want += 10 + len(rd.Inner)
+		}
+		if len(body) != want {
+			t.Fatalf("%s: body is %d bytes, want %d", name, len(body), want)
+		}
+		var out Data
+		if err := UnmarshalDataInto(&out, body); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !sameData(&out, in) {
+			t.Fatalf("%s: roundtrip differs", name)
+		}
+	}
+}
+
+func TestDataRoundtrip(t *testing.T) {
+	checkDataRoundtrip(t, map[string]*Data{
+		"one":           {Tau: 1_000_000, SrcCID: 13, Hop: 5, Readings: []Reading{{Origin: 14, Seq: 1, Inner: []byte("c1")}}},
+		"one empty":     {Tau: -9, SrcCID: 7, Readings: []Reading{{Origin: 1, Seq: 4294967295}}},
+		"one max inner": {Tau: 3, SrcCID: 1 << 31, Hop: 65535, Readings: []Reading{{Origin: 2, Seq: 3, Inner: make([]byte, MaxPayload)}}},
+	})
+}
+
+// A DATA body carrying several readings under one header.
+func TestDataBatchRoundtrip(t *testing.T) {
+	many := make([]Reading, 300)
+	for i := range many {
+		many[i] = Reading{Origin: uint32(i), Seq: uint32(7 * i), Inner: bytes.Repeat([]byte{byte(i)}, i%41)}
+	}
+	checkDataRoundtrip(t, map[string]*Data{
+		"two": {Tau: 5, SrcCID: 6, Hop: 9, Readings: []Reading{
+			{Origin: 10, Seq: 100, Inner: []byte("reading-10")},
+			{Origin: 11, Seq: 0, Inner: nil},
+		}},
+		"three": {Tau: 5, SrcCID: 6, Hop: 9, Readings: []Reading{
+			{Origin: 10, Seq: 100, Inner: []byte("reading-10")},
+			{Origin: 11, Seq: 4294967295, Inner: nil},
+			{Origin: 12, Seq: 0, Inner: []byte("reading-12")},
+		}},
+		"many": {Tau: 8, SrcCID: 2, Hop: 1, Readings: many},
+	})
+}
+
+// The tuples run to the end of the body, so a body must hold at least
+// one whole tuple and nothing after its last one.
+func TestDataRejectsMalformedBody(t *testing.T) {
+	body := (&Data{Tau: 1, SrcCID: 2, Hop: 3, Readings: []Reading{{Origin: 4, Seq: 5, Inner: []byte("abc")}}}).Marshal()
+	cases := map[string][]byte{
+		"no readings":   body[:14],
+		"partial tuple": body[:len(body)-1],
+	}
+	for n := 1; n < 10; n++ {
+		cases[fmt.Sprintf("%d trailing bytes", n)] = append(append([]byte(nil), body...), make([]byte, n)...)
+	}
+	for name, b := range cases {
+		var d Data
+		if err := UnmarshalDataInto(&d, b); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
@@ -230,76 +299,37 @@ func TestRefreshRoundtrip(t *testing.T) {
 	}
 }
 
-func TestDataBatchRoundtrip(t *testing.T) {
-	cases := []*DataBatch{
-		{Tau: 1, SrcCID: 2, Hop: 3, Readings: nil},
-		{Tau: -9, SrcCID: 7, Hop: 0, Readings: []BatchReading{{Origin: 1, Seq: 2, Inner: []byte("a")}}},
-		{Tau: 5, SrcCID: 6, Hop: 9, Readings: []BatchReading{
-			{Origin: 10, Seq: 100, Inner: []byte("reading-10")},
-			{Origin: 11, Seq: 4294967295, Inner: nil},
-			{Origin: 12, Seq: 0, Inner: []byte("reading-12")},
-		}},
-	}
-	for _, in := range cases {
-		out, err := UnmarshalDataBatch(in.Marshal())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Tau != in.Tau || out.SrcCID != in.SrcCID || out.Hop != in.Hop {
-			t.Fatalf("roundtrip header: %+v != %+v", out, in)
-		}
-		if len(out.Readings) != len(in.Readings) {
-			t.Fatalf("readings length %d != %d", len(out.Readings), len(in.Readings))
-		}
-		for i := range in.Readings {
-			if out.Readings[i].Origin != in.Readings[i].Origin ||
-				out.Readings[i].Seq != in.Readings[i].Seq ||
-				!bytes.Equal(out.Readings[i].Inner, in.Readings[i].Inner) {
-				t.Fatalf("reading %d: %+v != %+v", i, out.Readings[i], in.Readings[i])
-			}
-		}
-	}
-}
-
-func TestDataBatchRejectsLyingCount(t *testing.T) {
-	buf := (&DataBatch{Tau: 1, SrcCID: 2, Readings: []BatchReading{{Origin: 3, Seq: 4}}}).Marshal()
-	// Inflate the declared tuple count (bytes 14..15, after Tau, SrcCID,
-	// and Hop) past the actual payload.
-	buf[14], buf[15] = 0xff, 0xff
-	if _, err := UnmarshalDataBatch(buf); err == nil {
-		t.Fatal("inflated tuple count accepted")
-	}
-}
-
 // Every Unmarshal must reject truncation at any byte boundary and reject
-// trailing garbage. Drive all codecs through one table.
+// trailing garbage. Drive all codecs through one table. The one
+// exception is a Data body cut at a tuple boundary: that is a valid
+// shorter reading list by design (the outer seal authenticates the
+// length), so only header-only and mid-tuple cuts must fail.
 func TestUnmarshalRejectsTruncationAndTrailing(t *testing.T) {
+	dataFirst := 14 + 10 + len("efgh") // header, then the first tuple
 	full := map[string][]byte{
 		"hello":      (&Hello{HeadID: 1, ClusterKey: key16(1)}).Marshal(),
 		"linkadvert": (&LinkAdvert{CID: 2, ClusterKey: key16(2)}).Marshal(),
 		"inner":      (&Inner{Src: 3, Counter: 4, Encrypted: true, Sealed: []byte("abcd")}).Marshal(),
-		"data":       (&Data{Tau: 5, SrcCID: 6, Origin: 7, Seq: 8, Hop: 9, Inner: []byte("efgh")}).Marshal(),
-		"beacon":     (&Beacon{Round: 1, Hop: 2}).Marshal(),
-		"revoke":     (&Revoke{Index: 1, ChainKey: key16(3), CIDs: []uint32{4, 5}}).Marshal(),
-		"joinreq":    (&JoinReq{NodeID: 6}).Marshal(),
-		"joinresp":   (&JoinResp{CID: 7}).Marshal(),
-		"refresh":    (&Refresh{CID: 8, Epoch: 9, NewKey: key16(4)}).Marshal(),
-		"databatch": (&DataBatch{Tau: 5, SrcCID: 6, Hop: 7, Readings: []BatchReading{
-			{Origin: 8, Seq: 9, Inner: []byte("ijkl")},
+		"data": (&Data{Tau: 5, SrcCID: 6, Hop: 9, Readings: []Reading{
+			{Origin: 7, Seq: 8, Inner: []byte("efgh")},
 			{Origin: 10, Seq: 11, Inner: []byte("mn")},
 		}}).Marshal(),
+		"beacon":   (&Beacon{Round: 1, Hop: 2}).Marshal(),
+		"revoke":   (&Revoke{Index: 1, ChainKey: key16(3), CIDs: []uint32{4, 5}}).Marshal(),
+		"joinreq":  (&JoinReq{NodeID: 6}).Marshal(),
+		"joinresp": (&JoinResp{CID: 7}).Marshal(),
+		"refresh":  (&Refresh{CID: 8, Epoch: 9, NewKey: key16(4)}).Marshal(),
 	}
 	decode := map[string]func([]byte) error{
 		"hello":      func(b []byte) error { _, err := UnmarshalHello(b); return err },
 		"linkadvert": func(b []byte) error { _, err := UnmarshalLinkAdvert(b); return err },
 		"inner":      func(b []byte) error { _, err := UnmarshalInner(b); return err },
-		"data":       func(b []byte) error { _, err := UnmarshalData(b); return err },
+		"data":       func(b []byte) error { var d Data; return UnmarshalDataInto(&d, b) },
 		"beacon":     func(b []byte) error { _, err := UnmarshalBeacon(b); return err },
 		"revoke":     func(b []byte) error { _, err := UnmarshalRevoke(b); return err },
 		"joinreq":    func(b []byte) error { _, err := UnmarshalJoinReq(b); return err },
 		"joinresp":   func(b []byte) error { _, err := UnmarshalJoinResp(b); return err },
 		"refresh":    func(b []byte) error { _, err := UnmarshalRefresh(b); return err },
-		"databatch":  func(b []byte) error { _, err := UnmarshalDataBatch(b); return err },
 	}
 	for name, buf := range full {
 		dec := decode[name]
@@ -307,6 +337,9 @@ func TestUnmarshalRejectsTruncationAndTrailing(t *testing.T) {
 			t.Fatalf("%s: full decode failed: %v", name, err)
 		}
 		for cut := 0; cut < len(buf); cut++ {
+			if name == "data" && cut == dataFirst {
+				continue
+			}
 			if err := dec(buf[:cut]); err == nil {
 				t.Errorf("%s: truncation to %d bytes accepted", name, cut)
 			}
@@ -318,30 +351,31 @@ func TestUnmarshalRejectsTruncationAndTrailing(t *testing.T) {
 }
 
 func TestDecodedBytesDoNotAliasInput(t *testing.T) {
-	in := &Data{Inner: []byte("sensor")}
+	in := &Inner{Src: 1, Sealed: []byte("sensor")}
 	buf := in.Marshal()
-	out, err := UnmarshalData(buf)
+	out, err := UnmarshalInner(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf[len(buf)-1] ^= 0xFF // scribble over the radio buffer
-	if !bytes.Equal(out.Inner, []byte("sensor")) {
-		t.Fatal("decoded Inner aliases the input buffer")
+	if !bytes.Equal(out.Sealed, []byte("sensor")) {
+		t.Fatal("decoded Sealed aliases the input buffer")
 	}
 }
 
 func BenchmarkDataMarshal(b *testing.B) {
-	m := &Data{Tau: 1, SrcCID: 2, Origin: 3, Seq: 4, Hop: 5, Inner: make([]byte, 48)}
+	m := &Data{Tau: 1, SrcCID: 2, Hop: 5, Readings: []Reading{{Origin: 3, Seq: 4, Inner: make([]byte, 48)}}}
 	for i := 0; i < b.N; i++ {
 		m.Marshal()
 	}
 }
 
 func BenchmarkDataUnmarshal(b *testing.B) {
-	buf := (&Data{Tau: 1, SrcCID: 2, Origin: 3, Seq: 4, Hop: 5, Inner: make([]byte, 48)}).Marshal()
+	buf := (&Data{Tau: 1, SrcCID: 2, Hop: 5, Readings: []Reading{{Origin: 3, Seq: 4, Inner: make([]byte, 48)}}}).Marshal()
+	var m Data
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := UnmarshalData(buf); err != nil {
+		if err := UnmarshalDataInto(&m, buf); err != nil {
 			b.Fatal(err)
 		}
 	}
