@@ -120,7 +120,7 @@ func (a *Authority) ClusterKeyOf(cid uint32) crypt.Key {
 func (a *Authority) Chain() *crypt.Chain { return a.chain }
 
 // keyStoreFor builds the runtime KeyStore matching a Material.
-func keyStoreFor(m Material, maxChainSkip int) *node.KeyStore {
+func keyStoreFor(m Material) *node.KeyStore {
 	ks := node.NewKeyStore(m.NodeKey, m.CandidateClusterKey, m.Master, m.ChainCommit, maxChainSkip)
 	ks.AddMaster = m.AddMaster
 	return ks

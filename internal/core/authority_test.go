@@ -88,13 +88,13 @@ func TestConfigDefaults(t *testing.T) {
 	if c.OperationalAt != c.ClusterPhaseEnd+c.LinkSpread+50e6 {
 		t.Fatalf("OperationalAt = %v", c.OperationalAt)
 	}
-	if c.CounterWindow == 0 || c.DedupCapacity == 0 || c.ChainLength == 0 {
+	if c.FreshWindow <= 0 || c.ChainLength <= 0 {
 		t.Fatal("operational parameters not defaulted")
 	}
 	// Explicit values survive.
-	c2 := Config{CounterWindow: 7}.withDefaults()
-	if c2.CounterWindow != 7 {
-		t.Fatal("explicit CounterWindow overwritten")
+	c2 := Config{ChainLength: 7}.withDefaults()
+	if c2.ChainLength != 7 {
+		t.Fatal("explicit ChainLength overwritten")
 	}
 }
 

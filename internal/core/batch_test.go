@@ -372,8 +372,8 @@ func TestBSOpenPathZeroAllocs(t *testing.T) {
 		bs.Receive(ctx, 1, ctx.last)
 	}
 	// Warm every cache past steady state: the dedup sets must reach
-	// DedupCapacity so every insert evicts instead of growing the set.
-	warmup := bs.cfg.DedupCapacity + 500
+	// dedupCapacity so every insert evicts instead of growing the set.
+	warmup := dedupCapacity + 500
 	for i := 0; i < warmup; i++ {
 		step()
 	}

@@ -42,6 +42,43 @@ func (m RefreshMode) String() string {
 	}
 }
 
+// KeepAliveMisses is how many silent keep-alive periods a member
+// tolerates before it starts a repair election (or, with
+// HandoffEnabled, a handoff): detection takes KeepAliveMisses ×
+// KeepAlivePeriod.
+const KeepAliveMisses = 3
+
+// Fixed protocol parameters. No deployment tunes them; each is the
+// value every experiment and the paper-shape calibration ran with.
+const (
+	// counterWindow is how far ahead of the last verified value the base
+	// station accepts a source's Step-1 counter, so lost readings do not
+	// desynchronize a source.
+	counterWindow = 64
+	// dedupCapacity is how many distinct (origin, sequence) pairs each
+	// node's duplicate-suppression set remembers.
+	dedupCapacity = 1024
+	// maxChainSkip is how many consecutive missed revocation commands a
+	// node's chain verifier tolerates (Section IV-D).
+	maxChainSkip = 8
+	// joinRespDelayMax spreads neighbors' JOIN-RESP replies uniformly
+	// over this window so a joining node does not face a reply burst.
+	joinRespDelayMax = 50 * time.Millisecond
+	// joinWindow is how long a late-deployed node collects JOIN-RESP
+	// messages before it fixes its cluster membership and erases KMC.
+	joinWindow = 500 * time.Millisecond
+	// repairMeanDelay is the mean of the exponential candidacy delay in
+	// repair elections, mirroring the setup election's HELLO delays.
+	repairMeanDelay = 50 * time.Millisecond
+	// setupRetryBase is the first setup retry's backoff; each further
+	// retry doubles it, plus a uniform jitter of up to one base so
+	// simultaneous senders do not retry in lockstep.
+	setupRetryBase = 30 * time.Millisecond
+	// dataRetryBase is the first ack-gated data retry's backoff, doubled
+	// per retry with the same jitter.
+	dataRetryBase = 40 * time.Millisecond
+)
+
 // Config holds the protocol's tunable parameters. The zero value is not
 // usable; start from DefaultConfig.
 type Config struct {
@@ -93,29 +130,6 @@ type Config struct {
 	// the routing-ablation experiment quantifies the gradient's savings.
 	FloodForwarding bool
 
-	// CounterWindow is how far ahead of the last verified value the base
-	// station accepts a source's Step-1 counter (tolerates lost readings
-	// without desynchronizing).
-	CounterWindow uint64
-
-	// DedupCapacity bounds each node's duplicate-suppression cache of
-	// (origin, sequence) pairs: a node remembers the last DedupCapacity
-	// distinct pairs it saw. At most 1<<24 (Validate rejects more); the
-	// cache addresses its entries with int32 indices.
-	DedupCapacity int
-
-	// MaxChainSkip is how many consecutive missed revocation commands a
-	// node's chain verifier tolerates (Section IV-D).
-	MaxChainSkip int
-
-	// JoinRespDelayMax spreads neighbors' JOIN-RESP replies uniformly over
-	// this window so a joining node does not face a response burst.
-	JoinRespDelayMax time.Duration
-
-	// JoinWindow is how long a late-deployed node collects JOIN-RESP
-	// messages before fixing its cluster membership and erasing KMC.
-	JoinWindow time.Duration
-
 	// BeaconPeriod, if nonzero, re-floods the routing beacon periodically
 	// so late joiners and survivors of topology change acquire gradients.
 	BeaconPeriod time.Duration
@@ -144,24 +158,12 @@ type Config struct {
 	// key — no Km needed, honoring the paper's "within clusters"
 	// constraint on post-setup reorganization.
 	KeepAlivePeriod time.Duration
-	// KeepAliveMisses is how many silent keep-alive periods a member
-	// tolerates before starting a repair election. Defaults to 3 when
-	// KeepAlivePeriod is set.
-	KeepAliveMisses int
-	// RepairMeanDelay is the mean of the exponential candidacy delay in
-	// repair elections, mirroring the setup election's randomized HELLO
-	// delays. Defaults to 50ms when KeepAlivePeriod is set.
-	RepairMeanDelay time.Duration
 
 	// SetupRetries, if nonzero, bounds retransmissions with exponential
 	// backoff for the lossy setup-phase broadcasts: HELLO while the
 	// election window is open, LINK-ADVERT while Km is still held, and
 	// an exponentially growing window for late-join attempts.
 	SetupRetries int
-	// SetupRetryBase is the first setup retry's backoff; each further
-	// retry doubles it, plus a uniform jitter of up to one base so
-	// simultaneous senders don't retry in lockstep. Defaults to 30ms.
-	SetupRetryBase time.Duration
 
 	// BatchSize caps how many readings one DATA frame carries
 	// (docs/THROUGHPUT.md). A node queues originated and relayed
@@ -206,8 +208,6 @@ type Config struct {
 	// to this many times before giving up and raising the node's
 	// degraded flag.
 	DataRetries int
-	// DataRetryBase is the first data retry's backoff. Defaults to 40ms.
-	DataRetryBase time.Duration
 
 	// Obs, if non-nil, attaches the observability subsystem: protocol
 	// counters and milestone events (election, repair, retransmission,
@@ -234,19 +234,14 @@ type Config struct {
 // density grows (see EXPERIMENTS.md for the calibration data).
 func DefaultConfig() Config {
 	return Config{
-		HelloMeanDelay:   50 * time.Millisecond,
-		ClusterPhaseEnd:  500 * time.Millisecond,
-		LinkSpread:       100 * time.Millisecond,
-		OperationalAt:    0, // derived
-		DisableStep1:     false,
-		FreshWindow:      250 * time.Millisecond,
-		CounterWindow:    64,
-		DedupCapacity:    1024,
-		MaxChainSkip:     8,
-		JoinRespDelayMax: 50 * time.Millisecond,
-		JoinWindow:       500 * time.Millisecond,
-		BeaconPeriod:     0,
-		ChainLength:      128,
+		HelloMeanDelay:  50 * time.Millisecond,
+		ClusterPhaseEnd: 500 * time.Millisecond,
+		LinkSpread:      100 * time.Millisecond,
+		OperationalAt:   0, // derived
+		DisableStep1:    false,
+		FreshWindow:     250 * time.Millisecond,
+		BeaconPeriod:    0,
+		ChainLength:     128,
 	}
 }
 
@@ -267,15 +262,10 @@ func (c Config) Validate() error {
 		{"OperationalAt", c.OperationalAt},
 		{"FreshWindow", c.FreshWindow},
 		{"SkewTolerance", c.SkewTolerance},
-		{"JoinRespDelayMax", c.JoinRespDelayMax},
-		{"JoinWindow", c.JoinWindow},
 		{"BeaconPeriod", c.BeaconPeriod},
 		{"RefreshPeriod", c.RefreshPeriod},
 		{"KeepAlivePeriod", c.KeepAlivePeriod},
-		{"RepairMeanDelay", c.RepairMeanDelay},
-		{"SetupRetryBase", c.SetupRetryBase},
 		{"BatchFlushDelay", c.BatchFlushDelay},
-		{"DataRetryBase", c.DataRetryBase},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("core: %s must not be negative, got %v", f.name, f.v)
@@ -285,10 +275,7 @@ func (c Config) Validate() error {
 		name string
 		v    int
 	}{
-		{"DedupCapacity", c.DedupCapacity},
-		{"MaxChainSkip", c.MaxChainSkip},
 		{"ChainLength", c.ChainLength},
-		{"KeepAliveMisses", c.KeepAliveMisses},
 		{"SetupRetries", c.SetupRetries},
 		{"BatchSize", c.BatchSize},
 		{"DataRetries", c.DataRetries},
@@ -296,9 +283,6 @@ func (c Config) Validate() error {
 		if f.v < 0 {
 			return fmt.Errorf("core: %s must not be negative, got %d", f.name, f.v)
 		}
-	}
-	if c.DedupCapacity > maxDedupCapacity {
-		return fmt.Errorf("core: DedupCapacity must be at most %d, got %d", maxDedupCapacity, c.DedupCapacity)
 	}
 	if c.HandoffEnabled && c.KeepAlivePeriod <= 0 {
 		return fmt.Errorf("core: HandoffEnabled requires KeepAlivePeriod > 0 (keep-alive silence is the departure trigger)")
@@ -324,37 +308,8 @@ func (c Config) withDefaults() Config {
 	if c.FreshWindow <= 0 {
 		c.FreshWindow = d.FreshWindow
 	}
-	if c.CounterWindow == 0 {
-		c.CounterWindow = d.CounterWindow
-	}
-	if c.DedupCapacity <= 0 {
-		c.DedupCapacity = d.DedupCapacity
-	}
-	if c.MaxChainSkip <= 0 {
-		c.MaxChainSkip = d.MaxChainSkip
-	}
-	if c.JoinRespDelayMax <= 0 {
-		c.JoinRespDelayMax = d.JoinRespDelayMax
-	}
-	if c.JoinWindow <= 0 {
-		c.JoinWindow = d.JoinWindow
-	}
 	if c.ChainLength <= 0 {
 		c.ChainLength = d.ChainLength
-	}
-	if c.KeepAlivePeriod > 0 {
-		if c.KeepAliveMisses <= 0 {
-			c.KeepAliveMisses = 3
-		}
-		if c.RepairMeanDelay <= 0 {
-			c.RepairMeanDelay = 50 * time.Millisecond
-		}
-	}
-	if c.SetupRetries > 0 && c.SetupRetryBase <= 0 {
-		c.SetupRetryBase = 30 * time.Millisecond
-	}
-	if c.DataRetries > 0 && c.DataRetryBase <= 0 {
-		c.DataRetryBase = 40 * time.Millisecond
 	}
 	if c.BatchSize > 1 && c.BatchFlushDelay <= 0 {
 		c.BatchFlushDelay = 20 * time.Millisecond

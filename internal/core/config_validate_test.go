@@ -39,31 +39,6 @@ func TestConfigValidate(t *testing.T) {
 			"KeepAlivePeriod must not be negative",
 		},
 		{
-			"negative DataRetryBase",
-			func(c *Config) { c.DataRetryBase = -time.Millisecond },
-			"DataRetryBase must not be negative",
-		},
-		{
-			"negative JoinWindow",
-			func(c *Config) { c.JoinWindow = -time.Millisecond },
-			"JoinWindow must not be negative",
-		},
-		{
-			"negative DedupCapacity",
-			func(c *Config) { c.DedupCapacity = -1 },
-			"DedupCapacity must not be negative",
-		},
-		{
-			"DedupCapacity past the set's index range",
-			func(c *Config) { c.DedupCapacity = 1<<24 + 1 },
-			"DedupCapacity must be at most 16777216",
-		},
-		{
-			"DedupCapacity at the bound ok",
-			func(c *Config) { c.DedupCapacity = 1 << 24 },
-			"",
-		},
-		{
 			"negative BatchSize",
 			func(c *Config) { c.BatchSize = -4 },
 			"BatchSize must not be negative",

@@ -39,10 +39,6 @@ type dedupSet struct {
 	shift uint8
 }
 
-// maxDedupCapacity bounds Config.DedupCapacity so every ring index (and
-// index + 1) fits the table's int32 slots with room to spare.
-const maxDedupCapacity = 1 << 24
-
 // insert adds k if it is absent, evicting the oldest key when the set
 // already holds capacity keys, and reports whether k was absent. capacity
 // must be positive and the same on every call.

@@ -3,6 +3,10 @@ package core
 import (
 	"testing"
 	"time"
+
+	"repro/internal/node"
+	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // deploy is the shared test fixture: a mid-sized network that sets up
@@ -324,6 +328,58 @@ func TestEnergyReport(t *testing.T) {
 	ratio := float64(r.RxCount) / float64(r.TxCount)
 	if ratio < 5 || ratio > 20 {
 		t.Fatalf("rx/tx ratio %v implausible for density 10", ratio)
+	}
+}
+
+// TestBeaconChainOnePerPeriod counts the base station's BEACON
+// transmissions: one flood at the operational transition, then exactly
+// one per BeaconPeriod. A crash wipes the chain and Reboot re-arms one,
+// and a beacon triggered by hand floods once without starting another
+// chain.
+func TestBeaconChainOnePerPeriod(t *testing.T) {
+	const period = 400 * time.Millisecond
+	cfg := DefaultConfig()
+	cfg.BeaconPeriod = period
+	var bs node.ID
+	floods := 0
+	var lastAt time.Duration
+	var lastNonce uint64
+	trace := func(ev sim.TraceEvent) {
+		var f wire.Frame
+		if ev.From != bs || wire.ParseFrameInto(&f, ev.Pkt) != nil || f.Type != wire.TBeacon {
+			return
+		}
+		// One record per receiver: count each transmission once.
+		if floods > 0 && ev.At == lastAt && f.Nonce == lastNonce {
+			return
+		}
+		floods++
+		lastAt, lastNonce = ev.At, f.Nonce
+	}
+	d, err := Deploy(DeployOptions{N: 60, Density: 10, Seed: 71, Config: cfg, Trace: trace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs = node.ID(d.BSIndex)
+	t2 := d.Cfg.OperationalAt
+
+	// The transition and k = 2 periods: k + 1 floods.
+	d.Eng.Run(t2 + 2*period + period/2)
+	if floods != 3 {
+		t.Fatalf("%d base-station beacon floods over the transition and 2 periods, want 3", floods)
+	}
+
+	// Crash, reboot, one flood by hand, then 2 more periods: the hand
+	// trigger and the rebooted chain's 2 floods.
+	floods = 0
+	crashAt := d.Eng.Now()
+	d.Eng.Schedule(crashAt, func() { d.Eng.Crash(d.BSIndex) })
+	d.Eng.Schedule(crashAt+period/2, func() { d.Eng.Reboot(d.BSIndex) })
+	bsSensor := d.Sensors[d.BSIndex]
+	d.Eng.Do(crashAt+period/2+period/4, d.BSIndex, func(ctx node.Context) { bsSensor.TriggerBeacon(ctx) })
+	d.Eng.Run(crashAt + period/2 + 2*period + period/2)
+	if floods != 3 {
+		t.Fatalf("%d base-station beacon floods across a reboot, a manual trigger and 2 periods, want 3", floods)
 	}
 }
 

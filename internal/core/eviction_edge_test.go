@@ -57,7 +57,7 @@ func nonBSClusters(t *testing.T, d *Deployment, k int) []uint32 {
 }
 
 // TestRevocationOutOfOrderChainDelivery delivers K_3 before K_1: the
-// skip-ahead command (within MaxChainSkip) must be accepted, after which
+// skip-ahead command (within maxChainSkip) must be accepted, after which
 // the stale lower-index value is a replay that deletes nothing.
 func TestRevocationOutOfOrderChainDelivery(t *testing.T) {
 	d := deploy(t, 60, 10, 211)
@@ -93,26 +93,20 @@ func TestRevocationOutOfOrderChainDelivery(t *testing.T) {
 }
 
 // TestRevocationBeyondSkipWindowRejected injects a genuine chain value
-// from beyond the verifier's MaxChainSkip horizon: sensors must reject
+// from beyond the verifier's maxChainSkip horizon: sensors must reject
 // it without consuming any verifier state, so a later in-window command
 // still lands.
 func TestRevocationBeyondSkipWindowRejected(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxChainSkip = 2
-	d, err := Deploy(DeployOptions{N: 60, Density: 10, Seed: 223, Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RunSetup(); err != nil {
-		t.Fatal(err)
-	}
+	d := deploy(t, 60, 10, 223)
 	victims := nonBSClusters(t, d, 2)
 
-	far, err := d.Auth.Chain().Reveal(5) // skip window ends at index 2
+	// The skip window ends at index maxChainSkip.
+	const farIndex = maxChainSkip + 3
+	far, err := d.Auth.Chain().Reveal(farIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	injectRevoke(t, d, &wire.Revoke{Index: 5, ChainKey: far, CIDs: []uint32{victims[0]}})
+	injectRevoke(t, d, &wire.Revoke{Index: farIndex, ChainKey: far, CIDs: []uint32{victims[0]}})
 	for i, s := range d.Sensors {
 		if cid, ok := s.Cluster(); ok && cid == victims[0] {
 			if _, known := s.KeyStore().KeyFor(victims[0]); !known {
@@ -243,7 +237,7 @@ func TestRevokeDuringRepairElectionDoesNotResurrectKey(t *testing.T) {
 	}
 
 	cfg := repairConfig()
-	miss := time.Duration(cfg.KeepAliveMisses) * cfg.KeepAlivePeriod
+	miss := KeepAliveMisses * cfg.KeepAlivePeriod
 	crashAt := d.Eng.Now() + 50*time.Millisecond
 	d.Eng.Schedule(crashAt, func() { d.Eng.Crash(head) })
 

@@ -21,7 +21,8 @@ import (
 
 // TriggerBeacon floods a new routing-beacon round from the base station.
 // Call through the runtime's Do hook; it is a no-op on non-base-station
-// nodes or before the operational phase.
+// nodes or before the operational phase. It leaves the periodic beacon
+// schedule alone.
 func (s *Sensor) TriggerBeacon(ctx node.Context) {
 	if s.bs == nil || s.phase != PhaseOperational || !s.ks.InCluster {
 		return
@@ -31,7 +32,20 @@ func (s *Sensor) TriggerBeacon(ctx node.Context) {
 	s.hop = 0
 	s.bodyBuf = (&wire.Beacon{Round: s.bs.round, Hop: 0}).AppendMarshal(s.bodyBuf[:0])
 	ctx.Broadcast(s.sealFrame(ctx, wire.TBeacon, s.ks.CID, s.ks.ClusterKey, s.bodyBuf))
-	if s.cfg.BeaconPeriod > 0 {
+}
+
+// beaconTick floods a beacon round and arms the next one: the base
+// station's single periodic beacon chain, started at the operational
+// transition.
+func (s *Sensor) beaconTick(ctx node.Context) {
+	s.TriggerBeacon(ctx)
+	s.armBeacon(ctx)
+}
+
+// armBeacon schedules the base station's next periodic beacon, if
+// BeaconPeriod is set.
+func (s *Sensor) armBeacon(ctx node.Context) {
+	if s.bs != nil && s.cfg.BeaconPeriod > 0 {
 		ctx.SetTimer(s.cfg.BeaconPeriod, tagBeacon)
 	}
 }
@@ -86,7 +100,7 @@ func (s *Sensor) SendReading(ctx node.Context, data []byte) (uint32, bool) {
 		// Data-fusion mode: "c1 ... is simply the data D".
 		inner.Sealed = data
 	}
-	s.dedup.insert(dedupKey{s.id, s.readingSeq}, s.cfg.DedupCapacity)
+	s.dedup.insert(dedupKey{s.id, s.readingSeq}, dedupCapacity)
 	s.innerBuf = inner.AppendMarshal(s.innerBuf[:0])
 	s.relayReading(ctx, s.innerBuf, s.id, s.readingSeq)
 	return s.readingSeq, true
@@ -132,7 +146,7 @@ func (s *Sensor) deliver(ctx node.Context, origin node.ID, seq uint32, innerByte
 	var data []byte
 	if in.Encrypted {
 		last := s.bs.counters[in.Src]
-		if in.Counter <= last || in.Counter > last+s.cfg.CounterWindow {
+		if in.Counter <= last || in.Counter > last+counterWindow {
 			return // replayed or too-far-future counter
 		}
 		ki, cached := s.bs.nodeKeys[in.Src]
@@ -343,7 +357,7 @@ func (s *Sensor) onData(ctx node.Context, f *wire.Frame) {
 		(s.cfg.FloodForwarding || (s.hop != HopUnknown && d.Hop > s.hop))
 	for i := range d.Readings {
 		rd := &d.Readings[i]
-		if !s.dedup.insert(dedupKey{rd.Origin, rd.Seq}, s.cfg.DedupCapacity) {
+		if !s.dedup.insert(dedupKey{rd.Origin, rd.Seq}, dedupCapacity) {
 			continue
 		}
 		if s.bs != nil {
@@ -403,10 +417,10 @@ func (s *Sensor) trackPending(ctx node.Context, inner []byte, origin node.ID, se
 	}
 }
 
-// dataBackoff is DataRetryBase << attempt plus a uniform jitter of up to
+// dataBackoff is dataRetryBase << attempt plus a uniform jitter of up to
 // one base.
 func (s *Sensor) dataBackoff(ctx node.Context, attempt int) time.Duration {
-	base := s.cfg.DataRetryBase
+	base := dataRetryBase
 	return base<<attempt + time.Duration(ctx.Rand().Uint64n(uint64(base)))
 }
 

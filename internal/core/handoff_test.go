@@ -183,7 +183,7 @@ func TestHandoffLeavesNoStaleKey(t *testing.T) {
 	// Silence is counted from the last keep-alive heard, which may land
 	// just before the move — so the trigger fires after the move plus the
 	// miss budget minus at most one period.
-	miss := time.Duration(cfg.KeepAliveMisses) * cfg.KeepAlivePeriod
+	miss := KeepAliveMisses * cfg.KeepAlivePeriod
 	if hook.started < moveAt+miss-cfg.KeepAlivePeriod {
 		t.Fatalf("handoff started %v, before the %v miss budget past the move at %v", hook.started, miss, moveAt)
 	}

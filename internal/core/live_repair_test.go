@@ -26,7 +26,6 @@ func TestClusterRepairUnderLiveRuntime(t *testing.T) {
 	cfg.LinkSpread = 60 * time.Millisecond
 	cfg.FreshWindow = time.Second // scheduling jitter is real here
 	cfg.KeepAlivePeriod = 60 * time.Millisecond
-	cfg.KeepAliveMisses = 3
 	cfg.DataRetries = 2
 
 	graph, err := topology.Generate(xrand.New(43), topology.Config{N: n, Density: 10})

@@ -158,7 +158,7 @@ func (s *Sensor) onRevoke(ctx node.Context, f *wire.Frame, pkt []byte) {
 	if err != nil {
 		return
 	}
-	ctx.ChargeMAC(crypt.KeySize * s.cfg.MaxChainSkip) // chain hashing work
+	ctx.ChargeMAC(crypt.KeySize * maxChainSkip) // chain hashing work
 	if _, ok := s.ks.Chain.Accept(rv.ChainKey); !ok {
 		return
 	}
@@ -216,7 +216,7 @@ func (s *Sensor) startJoin(ctx node.Context) {
 	}
 	s.txBuf = pkt
 	ctx.Broadcast(pkt)
-	window := s.cfg.JoinWindow
+	window := joinWindow
 	if s.cfg.SetupRetries > 0 && s.joinAttempts > 1 {
 		// Exponential backoff across attempts: each retry doubles the
 		// collection window (capped at 8x) so a joiner in a lossy patch
@@ -244,7 +244,7 @@ func (s *Sensor) onJoinReq(ctx node.Context, f *wire.Frame) {
 		return // one response covers bursts of requests
 	}
 	s.pendingJoinResp = true
-	delay := time.Duration(ctx.Rand().Uint64n(uint64(s.cfg.JoinRespDelayMax)))
+	delay := time.Duration(ctx.Rand().Uint64n(uint64(joinRespDelayMax)))
 	ctx.SetTimer(delay, tagJoinResp)
 }
 

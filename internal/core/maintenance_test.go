@@ -643,7 +643,7 @@ func TestPeriodicHashRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Eng.Run(d.Eng.Now() + 3*d.Cfg.JoinWindow)
+	d.Eng.Run(d.Eng.Now() + 3*joinWindow)
 	late := d.Sensors[idx]
 	cid, ok := late.Cluster()
 	if !ok {
@@ -738,9 +738,7 @@ func TestCounterWindowGapTolerance(t *testing.T) {
 	// The base station tolerates lost readings: a source whose counter
 	// jumps (within the window) is still accepted; a jump beyond the
 	// window is not.
-	cfg := DefaultConfig()
-	cfg.CounterWindow = 8
-	d, err := Deploy(DeployOptions{N: 50, Density: 12, Seed: 433, Config: cfg})
+	d, err := Deploy(DeployOptions{N: 50, Density: 12, Seed: 433})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -749,15 +747,16 @@ func TestCounterWindowGapTolerance(t *testing.T) {
 	}
 	src := 17
 	s := d.Sensors[src]
-	// Simulate 5 lost readings by burning counters without transmitting:
+	// Simulate lost readings by burning counters without transmitting:
 	// send normally, then jump the counter.
 	if got := sendAndCount(t, d, src, []byte("c1")); got != 1 {
 		t.Fatalf("baseline: %d", got)
 	}
-	// Jump within the window: +6.
+	// Jump to the window's far edge: counters 2..64 "lost", the reading
+	// carries 65 = last + counterWindow.
 	d.Eng.Do(d.Eng.Now()+time.Millisecond, src, func(ctx node.Context) {
-		s.readingCtr += 5 // counters 2..6 "lost"
-		s.SendReading(ctx, []byte("c7"))
+		s.readingCtr += counterWindow - 1
+		s.SendReading(ctx, []byte("c65"))
 	})
 	if _, err := d.Eng.RunUntilIdle(0); err != nil {
 		t.Fatal(err)
@@ -765,10 +764,10 @@ func TestCounterWindowGapTolerance(t *testing.T) {
 	if got := len(d.Deliveries()); got != 2 {
 		t.Fatalf("within-window jump rejected: %d deliveries", got)
 	}
-	// Jump beyond the window: +20.
+	// Jump one past the window: last + counterWindow + 1.
 	d.Eng.Do(d.Eng.Now()+time.Millisecond, src, func(ctx node.Context) {
-		s.readingCtr += 19
-		s.SendReading(ctx, []byte("c27"))
+		s.readingCtr += counterWindow
+		s.SendReading(ctx, []byte("c130"))
 	})
 	if _, err := d.Eng.RunUntilIdle(0); err != nil {
 		t.Fatal(err)

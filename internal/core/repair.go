@@ -49,7 +49,7 @@ func (s *Sensor) keepAliveTick(ctx node.Context) {
 		ctx.Broadcast(s.sealFrame(ctx, wire.TKeepAlive, s.ks.CID, s.ks.ClusterKey, s.bodyBuf))
 	} else if !s.repairing {
 		silent := ctx.Now() - s.lastKeepAlive
-		if silent > time.Duration(s.cfg.KeepAliveMisses)*s.cfg.KeepAlivePeriod {
+		if silent > KeepAliveMisses*s.cfg.KeepAlivePeriod {
 			if s.cfg.HandoffEnabled && s.mobile && !s.ks.AddMaster.IsZero() {
 				// A mobile member cannot tell "my head crashed" from "I
 				// moved away"; handing off is safe either way, while
@@ -72,7 +72,7 @@ func (s *Sensor) startRepair(ctx node.Context) {
 	s.repairing = true
 	s.repairStartAt = ctx.Now()
 	s.cfg.Obs.Emit(ctx.Now(), obs.KindRepairStart, int(s.id), s.ks.CID, "")
-	delay := time.Duration(ctx.Rand().Exp(float64(s.cfg.RepairMeanDelay)))
+	delay := time.Duration(ctx.Rand().Exp(float64(repairMeanDelay)))
 	s.repairTimer = ctx.SetTimer(delay, tagRepairElect)
 }
 
@@ -163,10 +163,10 @@ func (s *Sensor) adoptHead(ctx node.Context, claimant node.ID) {
 
 // --- bounded setup retransmissions ---
 
-// setupBackoff is SetupRetryBase << attempt plus a uniform jitter of up to
+// setupBackoff is setupRetryBase << attempt plus a uniform jitter of up to
 // one base, so simultaneous senders don't retry in lockstep.
 func (s *Sensor) setupBackoff(ctx node.Context, attempt int) time.Duration {
-	base := s.cfg.SetupRetryBase
+	base := setupRetryBase
 	return base<<attempt + time.Duration(ctx.Rand().Uint64n(uint64(base)))
 }
 
@@ -239,9 +239,7 @@ func (s *Sensor) Reboot(ctx node.Context) {
 	case PhaseOperational:
 		s.catchUpEpochs(ctx.Now())
 		s.armRefreshTimer(ctx)
-		if s.bs != nil && s.cfg.BeaconPeriod > 0 {
-			ctx.SetTimer(s.cfg.BeaconPeriod, tagBeacon)
-		}
+		s.armBeacon(ctx)
 		s.lastKeepAlive = ctx.Now()
 		s.armKeepAlive(ctx)
 	case PhaseJoining:

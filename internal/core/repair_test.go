@@ -15,7 +15,6 @@ import (
 func repairConfig() Config {
 	cfg := DefaultConfig()
 	cfg.KeepAlivePeriod = 100 * time.Millisecond
-	cfg.KeepAliveMisses = 3
 	cfg.BeaconPeriod = time.Second
 	return cfg
 }
@@ -107,7 +106,7 @@ func TestClusterRepairAfterHeadCrash(t *testing.T) {
 		t.Fatal("no member claimed headship after the head crashed")
 	}
 	latency := repairs[0].at - crashAt
-	miss := time.Duration(repairConfig().KeepAliveMisses) * repairConfig().KeepAlivePeriod
+	miss := KeepAliveMisses * repairConfig().KeepAlivePeriod
 	if latency < miss {
 		t.Fatalf("repair at %v after crash, before the %v miss budget expired", latency, miss)
 	}

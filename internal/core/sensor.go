@@ -363,7 +363,7 @@ func NewSensor(cfg Config, m Material) *Sensor {
 	cfg = cfg.withDefaults()
 	return &Sensor{
 		cfg: cfg,
-		ks:  keyStoreFor(m, cfg.MaxChainSkip),
+		ks:  keyStoreFor(m),
 		id:  m.ID,
 		hop: HopUnknown,
 		// Mobile provisioning carries both masters (MobileMaterialFor);
@@ -606,7 +606,7 @@ func (s *Sensor) Timer(ctx node.Context, tag node.Tag) {
 	case tagJoinDone:
 		s.finishJoinWindow(ctx)
 	case tagBeacon:
-		s.TriggerBeacon(ctx)
+		s.beaconTick(ctx)
 	case tagRefresh:
 		s.periodicRefresh(ctx)
 	case tagKeepAlive:
@@ -818,12 +818,7 @@ func (s *Sensor) enterOperational(ctx node.Context) {
 	// output is byte-identical.
 	s.dropSealers()
 	s.phase = PhaseOperational
-	if s.bs != nil {
-		s.TriggerBeacon(ctx)
-		if s.cfg.BeaconPeriod > 0 {
-			ctx.SetTimer(s.cfg.BeaconPeriod, tagBeacon)
-		}
-	}
+	s.beaconTick(ctx)
 	s.armRefreshTimer(ctx)
 	s.lastKeepAlive = ctx.Now()
 	s.armKeepAlive(ctx)

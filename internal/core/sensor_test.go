@@ -66,32 +66,31 @@ func TestNextNonceUniqueAndSenderBound(t *testing.T) {
 }
 
 func TestDedupCacheEviction(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DedupCapacity = 4
 	auth := AuthorityFromSeed(2, 16)
-	s := NewSensor(cfg, auth.MaterialFor(1))
-	remember := func(seq uint32) bool { return s.dedup.insert(dedupKey{9, seq}, s.cfg.DedupCapacity) }
+	s := NewSensor(DefaultConfig(), auth.MaterialFor(1))
+	remember := func(seq uint32) bool { return s.dedup.insert(dedupKey{9, seq}, dedupCapacity) }
 	seen := func(seq uint32) bool { return s.dedup.has(dedupKey{9, seq}) }
-	for seq := uint32(1); seq <= 4; seq++ {
+	const full = uint32(dedupCapacity)
+	for seq := uint32(1); seq <= full; seq++ {
 		if !remember(seq) {
 			t.Fatalf("seq %d reported as already present", seq)
 		}
 	}
-	for seq := uint32(1); seq <= 4; seq++ {
+	for seq := uint32(1); seq <= full; seq++ {
 		if !seen(seq) {
 			t.Fatalf("seq %d forgotten prematurely", seq)
 		}
 	}
-	// Fifth entry evicts the oldest.
-	remember(5)
+	// One entry past capacity evicts the oldest.
+	remember(full + 1)
 	if seen(1) {
 		t.Fatal("oldest entry not evicted")
 	}
-	if !seen(5) || !seen(2) {
+	if !seen(full+1) || !seen(2) {
 		t.Fatal("recent entries lost")
 	}
 	// Re-remembering an existing entry must not evict anything.
-	if remember(5) {
+	if remember(full + 1) {
 		t.Fatal("duplicate insert reported as new")
 	}
 	if !seen(2) {

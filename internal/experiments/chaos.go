@@ -30,7 +30,6 @@ const saltChaos = 0x5c4e3e04
 func chaosConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.KeepAlivePeriod = 100 * time.Millisecond
-	cfg.KeepAliveMisses = 3
 	cfg.DataRetries = 2
 	return cfg
 }
@@ -141,7 +140,7 @@ func CrashChurn(o Options, fracs []float64) (*CrashChurnResult, error) {
 			}
 			// Run through the crashes, the miss budget, and election slack.
 			lastCrash := crashBase + time.Duration(nVictims)*crashStagger
-			miss := time.Duration(cfg.KeepAliveMisses) * cfg.KeepAlivePeriod
+			miss := core.KeepAliveMisses * cfg.KeepAlivePeriod
 			settled := lastCrash + miss + 1500*time.Millisecond
 			d.Eng.Run(settled)
 			// The first repair of a cluster is its earliest claim.

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestCrashChurnRepairsAndDelivers(t *testing.T) {
@@ -26,7 +28,7 @@ func TestCrashChurnRepairsAndDelivers(t *testing.T) {
 		t.Fatalf("repaired fraction %v at 20%% churn, want > 0", repaired)
 	}
 	cfg := chaosConfig()
-	budget := float64(cfg.KeepAliveMisses) * float64(cfg.KeepAlivePeriod) / 1e6
+	budget := float64(core.KeepAliveMisses) * float64(cfg.KeepAlivePeriod) / 1e6
 	if lat, ok := res.RepairLatencyMS.At(0.2); ok && lat < budget {
 		t.Fatalf("mean repair latency %vms below the %vms miss budget", lat, budget)
 	}

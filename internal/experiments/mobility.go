@@ -32,7 +32,6 @@ const saltMobility = 0x5c4e3e08
 func mobilityConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.KeepAlivePeriod = 100 * time.Millisecond
-	cfg.KeepAliveMisses = 3
 	cfg.DataRetries = 2
 	cfg.BeaconPeriod = time.Second
 	cfg.HandoffEnabled = true
@@ -52,7 +51,7 @@ func mobilityConfig() core.Config {
 const (
 	mobilityMotionFrom  = 2 * time.Second
 	mobilityMotionUntil = 6 * time.Second
-	// Joins back off up to 8x the 500ms JoinWindow, so the last handoff
+	// Joins back off up to 8x the 500ms join window, so the last handoff
 	// triggered near the end of motion can take a few seconds to land;
 	// the settle slack covers the miss budget plus that join tail.
 	mobilitySettle = mobilityMotionUntil + 3*time.Second

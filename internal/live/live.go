@@ -46,16 +46,16 @@ type Config struct {
 	// one nil check per hook.
 	Obs *obs.Scope
 
-	// Transport enables the reliable datagram layer (internal/transport):
-	// framing, duplicate suppression, and — with Transport.ARQ — per-link
-	// ack/retransmit with circuit breakers. The zero value keeps the
-	// legacy fire-and-forget path, bit-for-bit.
+	// Transport enables the reliable datagram layer (internal/transport)
+	// when Transport.ARQ is set: framing, duplicate suppression, and
+	// per-link ack/retransmit with circuit breakers. The zero value keeps
+	// the fire-and-forget path.
 	Transport transport.Config
 	// Carrier, if non-nil, moves frames to nodes hosted by OTHER OS
 	// processes (e.g. transport.UDP): a local Broadcast reaches local
 	// neighbors through their inboxes and remote neighbors through the
 	// carrier; inbound carrier frames are fanned to local neighbors of
-	// the sender. Setting a Carrier implies framing. Each process should
+	// the sender. A Carrier requires Transport.ARQ. Each process should
 	// host exactly one non-nil behavior in this mode.
 	Carrier transport.Carrier
 	// Drop, if non-nil, is consulted once per transmitted frame (data,
@@ -80,9 +80,6 @@ type Config struct {
 	// without Reboot are Started normally.
 	WarmBoot bool
 }
-
-// framed reports whether packets travel inside transport frames.
-func (c Config) framed() bool { return c.Transport.Enabled() || c.Carrier != nil }
 
 type packet struct {
 	from node.ID
@@ -191,6 +188,9 @@ func Start(cfg Config, behaviors []node.Behavior) *Network {
 	if cfg.Graph == nil || len(behaviors) != cfg.Graph.N() {
 		panic("live: behaviors must match Config.Graph")
 	}
+	if cfg.Carrier != nil && !cfg.Transport.ARQ {
+		panic("live: Config.Carrier requires Transport.ARQ")
+	}
 	if cfg.InboxSize <= 0 {
 		cfg.InboxSize = 256
 	}
@@ -225,7 +225,7 @@ func Start(cfg Config, behaviors []node.Behavior) *Network {
 			start:    now,
 		}
 		h.alive.Store(b != nil)
-		if cfg.framed() && b != nil {
+		if cfg.Transport.ARQ && b != nil {
 			idx := i
 			h.ep = transport.NewEndpoint(cfg.Transport, i, h.rng.Split(^uint64(0)),
 				func(to int, frame []byte) { n.sendFrame(idx, to, frame) },

@@ -103,8 +103,12 @@ func TestStartStopChurn(t *testing.T) {
 			bs[i] = c
 		}
 		cfg := Config{Graph: g, Seed: uint64(it), Loss: 0.3}
+		// ARQ iterations run past the first 20 ms retransmit backoff, so
+		// retransmissions race Stop.
+		run := time.Duration(it%3) * time.Millisecond
 		if it%2 == 0 {
-			cfg.Transport = transport.Config{ARQ: true, RetryBase: time.Millisecond}
+			cfg.Transport = transport.Config{ARQ: true}
+			run += 25 * time.Millisecond
 		}
 		net := Start(cfg, bs)
 		var wg sync.WaitGroup
@@ -118,8 +122,25 @@ func TestStartStopChurn(t *testing.T) {
 		if it%3 == 0 {
 			net.Crash(it % 4)
 		}
-		time.Sleep(time.Duration(it%3) * time.Millisecond)
+		time.Sleep(run)
 		net.Stop()
 		wg.Wait()
 	}
+}
+
+// nullCarrier accepts frames and never delivers any.
+type nullCarrier struct{}
+
+func (nullCarrier) Send(int, []byte)                  {}
+func (nullCarrier) Inbound() <-chan transport.Inbound { return nil }
+
+// TestCarrierRequiresARQ: a carrier moves transport frames, which only
+// ARQ endpoints produce, so Start must refuse a carrier without ARQ.
+func TestCarrierRequiresARQ(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Start accepted a Carrier without Transport.ARQ")
+		}
+	}()
+	Start(Config{Graph: lineGraph(2), Carrier: nullCarrier{}}, []node.Behavior{&counter{}, nil})
 }

@@ -19,7 +19,6 @@ import (
 func TestInstrumentedChaosRun(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.KeepAlivePeriod = 100 * time.Millisecond
-	cfg.KeepAliveMisses = 3
 	cfg.SetupRetries = 2
 	cfg.DataRetries = 2
 
@@ -61,7 +60,7 @@ func TestInstrumentedChaosRun(t *testing.T) {
 	}
 	crashAt := d.Eng.Now() + 50*time.Millisecond
 	d.Eng.Schedule(crashAt, func() { d.Eng.Crash(victim) })
-	miss := time.Duration(cfg.KeepAliveMisses) * cfg.KeepAlivePeriod
+	miss := core.KeepAliveMisses * cfg.KeepAlivePeriod
 	settled := crashAt + miss + 2*time.Second
 	d.Eng.Run(settled)
 

@@ -8,17 +8,18 @@ import (
 	"repro/internal/xrand"
 )
 
-// quarantineLink drives a fresh link into its first quarantine: two
-// exhausted sends trip the breaker, then probe failures rack up opens
-// until the flap limit exiles the link. Returns the advanced clock.
-func quarantineLink(t *testing.T, e *Endpoint, peer int, cfg Config, now time.Duration) time.Duration {
+// quarantineLink drives a fresh link into its first quarantine:
+// breakerThreshold exhausted sends trip the breaker, then probe failures
+// rack up opens until the flap limit exiles the link. Returns the
+// advanced clock.
+func quarantineLink(t *testing.T, e *Endpoint, peer int, now time.Duration) time.Duration {
 	t.Helper()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		e.Send(peer, []byte("x"), now)
 		now = drainRetries(e, now)
 	}
-	for open := 1; open < cfg.FlapLimit; open++ {
-		now += cfg.BreakerCooldown + time.Millisecond
+	for open := 1; open < flapLimit; open++ {
+		now += breakerCooldown + time.Millisecond
 		e.Send(peer, []byte("probe"), now)
 		now = drainRetries(e, now)
 	}
@@ -36,14 +37,13 @@ func TestBreakerPostQuarantineProbeLoss(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	out := &sink{}
-	cfg := testCfg()
-	e := NewEndpoint(cfg, 0, xrand.New(11), out.send, func(int, []byte) {})
+	e := NewEndpoint(testCfg(), 0, xrand.New(11), out.send, func(int, []byte) {})
 	e.SetMetrics(m)
 	const peer = 9
-	now := quarantineLink(t, e, peer, cfg, 0)
+	now := quarantineLink(t, e, peer, 0)
 
 	// Quarantine elapses; the next send is the half-open probe...
-	now += cfg.Quarantine + time.Millisecond
+	now += quarantine + time.Millisecond
 	e.Send(peer, []byte("probe"), now)
 	if got := e.BreakerState(peer); got != BreakerHalfOpen {
 		t.Fatalf("post-quarantine state = %v, want half-open", got)
@@ -61,19 +61,19 @@ func TestBreakerPostQuarantineProbeLoss(t *testing.T) {
 	}
 
 	// The flap counter restarted at the quarantine: the lost probe was
-	// open #1, and only a full renewed run of FlapLimit opens exiles the
+	// open #1, and only a full renewed run of flapLimit opens exiles the
 	// link again.
-	for open := 2; open <= cfg.FlapLimit; open++ {
+	for open := 2; open <= flapLimit; open++ {
 		if e.Quarantined(peer) {
 			t.Fatalf("re-quarantined after only %d post-quarantine opens", open-1)
 		}
-		now += cfg.BreakerCooldown + time.Millisecond
+		now += breakerCooldown + time.Millisecond
 		e.Send(peer, []byte("probe"), now)
 		now = drainRetries(e, now)
 	}
 	if !e.Quarantined(peer) {
 		t.Fatalf("after %d failed post-quarantine probes: not re-quarantined (state=%v)",
-			cfg.FlapLimit, e.BreakerState(peer))
+			flapLimit, e.BreakerState(peer))
 	}
 	if v := m.Quarantines.Value(); v != 2 {
 		t.Fatalf("quarantines = %d, want 2", v)
@@ -81,7 +81,7 @@ func TestBreakerPostQuarantineProbeLoss(t *testing.T) {
 
 	// Second quarantine over, probe acked: full recovery is still
 	// reachable after repeated exile.
-	now += cfg.Quarantine + time.Millisecond
+	now += quarantine + time.Millisecond
 	e.Send(peer, []byte("probe"), now)
 	e.HandleRaw(ackFor(peer, out.last()), now)
 	if got := e.BreakerState(peer); got != BreakerClosed || e.Quarantined(peer) {
@@ -95,16 +95,15 @@ func TestBreakerPostQuarantineProbeLoss(t *testing.T) {
 // stays best-effort, at the deadline it becomes the probe.
 func TestBreakerQuarantineBoundary(t *testing.T) {
 	out := &sink{}
-	cfg := testCfg()
-	e := NewEndpoint(cfg, 0, xrand.New(12), out.send, func(int, []byte) {})
+	e := NewEndpoint(testCfg(), 0, xrand.New(12), out.send, func(int, []byte) {})
 	const peer = 4
-	now := quarantineLink(t, e, peer, cfg, 0)
+	now := quarantineLink(t, e, peer, 0)
 
-	e.Send(peer, []byte("early"), now+cfg.Quarantine-time.Millisecond)
+	e.Send(peer, []byte("early"), now+quarantine-time.Millisecond)
 	if e.InFlight() != 0 || !e.Quarantined(peer) {
 		t.Fatal("send admitted one tick before the quarantine deadline")
 	}
-	e.Send(peer, []byte("probe"), now+cfg.Quarantine)
+	e.Send(peer, []byte("probe"), now+quarantine)
 	if got := e.BreakerState(peer); got != BreakerHalfOpen || e.InFlight() != 1 {
 		t.Fatalf("send at the deadline: state = %v, inflight = %d; want half-open probe",
 			got, e.InFlight())

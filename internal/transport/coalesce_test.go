@@ -7,13 +7,10 @@ import (
 	"repro/internal/xrand"
 )
 
-// coalesceCfg is testCfg plus ACK coalescing with a small high-water
-// mark, so both the deadline and the count trigger are reachable in a
-// few frames.
+// coalesceCfg is testCfg plus ACK coalescing.
 func coalesceCfg() Config {
 	cfg := testCfg()
 	cfg.AckDelay = 5 * time.Millisecond
-	cfg.AckMax = 4
 	return cfg
 }
 
@@ -57,19 +54,22 @@ func TestAckCoalescingDeadlineFlush(t *testing.T) {
 	}
 }
 
-// TestAckCoalescingCountFlush: the AckMax-th pending ack flushes
+// TestAckCoalescingCountFlush: the ackMax-th pending ack flushes
 // immediately, before the deadline.
 func TestAckCoalescingCountFlush(t *testing.T) {
 	out := &sink{}
 	e := NewEndpoint(coalesceCfg(), 1, xrand.New(12), out.send, func(int, []byte) {})
-	for seq := uint32(1); seq <= 4; seq++ { // AckMax = 4
+	for seq := uint32(1); seq <= ackMax; seq++ {
+		if n := countKind(out.frames, KindAckBatch); n != 0 {
+			t.Fatalf("ack batch flushed after %d of %d frames", seq-1, ackMax)
+		}
 		e.HandleRaw(dataFrom(0, 3, seq, "d"), 0)
 	}
 	if n := countKind(out.frames, KindAckBatch); n != 1 {
-		t.Fatalf("%d ack batches after AckMax frames at t=0, want 1", n)
+		t.Fatalf("%d ack batches after ackMax frames at t=0, want 1", n)
 	}
 	b := out.last()
-	want := []byte{0, 0, 0, 1, 0, 4}
+	want := []byte{0, 0, 0, 1, 0, ackMax}
 	if string(b.Payload) != string(want) {
 		t.Fatalf("batch payload %x, want %x", b.Payload, want)
 	}
@@ -104,16 +104,17 @@ func TestAckCoalescingRangeSpansWraparound(t *testing.T) {
 		a.HandleRaw(fr, now)
 	}, func(int, []byte) {})
 
-	// Push a's send sequence to the edge of the wraparound.
+	// Push a's send sequence to the edge of the wraparound, so the run
+	// of ackMax frames starts at FFFFFFFE and ends at ackMax-3.
 	a.link(1).nextSeq = 0xFFFFFFFD
-	for i := 0; i < 3; i++ { // seqs FFFFFFFE, FFFFFFFF, 0
+	for i := 0; i < ackMax-1; i++ {
 		a.Send(1, []byte("w"), now)
 	}
-	if got := a.InFlight(); got != 3 {
-		t.Fatalf("in flight before the batch = %d, want 3", got)
+	if got := a.InFlight(); got != ackMax-1 {
+		t.Fatalf("in flight before the batch = %d, want %d", got, ackMax-1)
 	}
-	a.Send(1, []byte("w"), now) // seq 1: b hits AckMax and flushes synchronously
-	// b owed 4 acks = AckMax, so the count trigger has already flushed.
+	a.Send(1, []byte("w"), now) // b hits ackMax and flushes synchronously
+	// b owed ackMax acks, so the count trigger has already flushed.
 	var batch *Frame
 	for i := range wire {
 		if wire[i].Kind == KindAckBatch {
@@ -126,7 +127,7 @@ func TestAckCoalescingRangeSpansWraparound(t *testing.T) {
 	if batch == nil {
 		t.Fatal("no ack batch on the wire")
 	}
-	want := []byte{0xFF, 0xFF, 0xFF, 0xFE, 0x00, 0x04} // ONE range across the wrap
+	want := []byte{0xFF, 0xFF, 0xFF, 0xFE, 0x00, ackMax} // ONE range across the wrap
 	if string(batch.Payload) != string(want) {
 		t.Fatalf("wraparound run encoded as %x, want single range %x", batch.Payload, want)
 	}
@@ -173,11 +174,13 @@ func TestAckCoalescingFlushOnBreakerOpen(t *testing.T) {
 	const peer = 0
 	now := time.Duration(0)
 
-	// Two exhausted sends (threshold 2) trip the breaker. The ack must
-	// be queued after the final Send (whose reverse-traffic trigger
-	// would otherwise drain it) but before the retries exhaust.
-	e.Send(peer, []byte("x"), now)
-	now = drainRetries(e, now)
+	// breakerThreshold exhausted sends trip the breaker. The ack must be
+	// queued after the final Send (whose reverse-traffic trigger would
+	// otherwise drain it) but before the retries exhaust.
+	for i := 1; i < breakerThreshold; i++ {
+		e.Send(peer, []byte("x"), now)
+		now = drainRetries(e, now)
+	}
 	e.Send(peer, []byte("x"), now)
 	e.HandleRaw(dataFrom(peer, 5, 10, "d"), now)
 	now = drainRetries(e, now)

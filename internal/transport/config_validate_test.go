@@ -7,8 +7,8 @@ import (
 )
 
 // TestConfigValidate pins the raw-config contract: negative durations
-// and counts are rejected with the field named, while the zero value,
-// sensible configs, and the documented "negative disables" knobs pass.
+// and counts are rejected with the field named, while the zero value and
+// sensible configs pass.
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -18,18 +18,9 @@ func TestConfigValidate(t *testing.T) {
 		{"zero value", Config{}, ""},
 		{"arq defaults", Config{ARQ: true}, ""},
 		{"coalescing", Config{ARQ: true, AckDelay: 4 * time.Millisecond}, ""},
-		{"negative jitter disables", Config{ARQ: true, RetryJitter: -1}, ""},
-		{"negative breaker disables", Config{ARQ: true, BreakerThreshold: -1}, ""},
-		{"negative flap disables", Config{ARQ: true, FlapLimit: -1}, ""},
-		{"negative retry base", Config{ARQ: true, RetryBase: -time.Millisecond}, "RetryBase must not be negative"},
-		{"negative retry cap", Config{ARQ: true, RetryCap: -time.Second}, "RetryCap must not be negative"},
-		{"negative cooldown", Config{ARQ: true, BreakerCooldown: -time.Second}, "BreakerCooldown must not be negative"},
-		{"negative flap window", Config{ARQ: true, FlapWindow: -time.Second}, "FlapWindow must not be negative"},
-		{"negative quarantine", Config{ARQ: true, Quarantine: -time.Second}, "Quarantine must not be negative"},
 		{"negative ack delay", Config{ARQ: true, AckDelay: -time.Millisecond}, "AckDelay must not be negative"},
 		{"negative max retries", Config{ARQ: true, MaxRetries: -1}, "MaxRetries must not be negative"},
-		{"negative ack max", Config{ARQ: true, AckMax: -1}, "AckMax must not be negative"},
-		{"ack delay without arq", Config{Framed: true, AckDelay: time.Millisecond}, "AckDelay requires ARQ"},
+		{"ack delay without arq", Config{AckDelay: time.Millisecond}, "AckDelay requires ARQ"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,8 +43,8 @@ func TestConfigValidate(t *testing.T) {
 func TestNewEndpointRejectsInvalidConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewEndpoint accepted a negative RetryBase")
+			t.Fatal("NewEndpoint accepted a negative MaxRetries")
 		}
 	}()
-	NewEndpoint(Config{ARQ: true, RetryBase: -time.Millisecond}, 0, nil, nil, nil)
+	NewEndpoint(Config{ARQ: true, MaxRetries: -1}, 0, nil, nil, nil)
 }

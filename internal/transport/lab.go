@@ -208,7 +208,7 @@ func NewLab(cfg LabConfig, behaviors []node.Behavior) (*Lab, error) {
 			alive:    b != nil,
 			timers:   make(map[node.TimerID]node.Tag),
 		}
-		if cfg.Transport.Enabled() && b != nil {
+		if cfg.Transport.ARQ && b != nil {
 			idx := i
 			h.ep = NewEndpoint(cfg.Transport, i, h.rng.Split(^uint64(0)),
 				func(to int, frame []byte) { l.transmit(idx, to, frame) },
@@ -282,7 +282,7 @@ func (l *Lab) Run(until time.Duration) {
 			}
 		case evArrive:
 			l.arrive(&e)
-			if l.cfg.Transport.Enabled() {
+			if l.cfg.Transport.ARQ {
 				// transmit copied the frame; the endpoint and the
 				// behavior may read it only during the call (buffer
 				// ownership, docs/TRANSPORT.md), so it is free again.

@@ -85,11 +85,11 @@ func TestLabARQRecoversFromBlackout(t *testing.T) {
 	}
 }
 
-// TestLabFramedDelivery checks framing without ARQ: payloads travel
-// wrapped in transport frames and arrive intact and exactly once on a
-// clean medium.
+// TestLabFramedDelivery checks ARQ on a clean medium: payloads travel
+// wrapped in transport frames and arrive intact and exactly once, with
+// no retransmission and no duplicate drop.
 func TestLabFramedDelivery(t *testing.T) {
-	lab, sink, m := labPair(t, Config{Framed: true}, nil)
+	lab, sink, m := labPair(t, Config{ARQ: true}, nil)
 	for k := 0; k < 4; k++ {
 		msg := fmt.Sprintf("m%d", k)
 		lab.Do(time.Duration(k+1)*10*time.Millisecond, 1, func(ctx node.Context) {
@@ -100,8 +100,17 @@ func TestLabFramedDelivery(t *testing.T) {
 	if len(sink.got) != 4 {
 		t.Fatalf("framed transport delivered %d/4: %q", len(sink.got), sink.got)
 	}
-	if m.DupDrops.Value() != 0 {
-		t.Fatalf("clean run recorded %d dup drops", m.DupDrops.Value())
+	for k, got := range sink.got {
+		if want := fmt.Sprintf("m%d", k); got != want {
+			t.Fatalf("delivery %d = %q, want %q", k, got, want)
+		}
+	}
+	if m.DupDrops.Value() != 0 || m.Retransmits.Value() != 0 {
+		t.Fatalf("clean run recorded %d dup drops and %d retransmits",
+			m.DupDrops.Value(), m.Retransmits.Value())
+	}
+	if got := lab.Endpoint(1).InFlight(); got != 0 {
+		t.Fatalf("%d frames still in flight on a clean medium", got)
 	}
 }
 

@@ -17,8 +17,8 @@
 // For the same reason no decision path iterates a map: links sit in a
 // slice sorted by peer and each link's in-flight frames in a slice in
 // seq order, so Tick retransmits in (peer, seq) order. The zero Config
-// disables both framing and ARQ, keeping every experiment family's
-// golden output byte-identical.
+// turns the transport off: hosts deliver bare packets, as the experiment
+// families without ARQ do.
 package transport
 
 import (
@@ -32,90 +32,67 @@ import (
 	"repro/internal/xrand"
 )
 
-// Config holds the reliability knobs. The zero value means "off": no
-// framing, no ARQ, no breakers — the live runtime's legacy fire-and-
-// forget path. Setting ARQ implies framing.
+// Config holds the reliability knobs. The zero value means "off": hosts
+// (Lab, internal/live) build no endpoints and deliver bare packets.
 type Config struct {
-	// Framed wraps every payload in a transport frame (with epoch and
-	// sequence number) and suppresses duplicates at the receiver, but
-	// does not ack or retransmit. Required (and implied) by ARQ; useful
-	// alone when the carrier is a real socket.
-	Framed bool
-	// ARQ enables per-link acknowledgements and retransmission.
+	// ARQ turns the transport on: hosts run an Endpoint per node, which
+	// frames every payload, acknowledges and retransmits it per link, and
+	// suppresses duplicates at the receiver.
 	ARQ bool
 
 	// MaxRetries is how many times an unacked frame is retransmitted
 	// before the send is declared failed (so a frame is sent at most
 	// 1+MaxRetries times). Default 4.
 	MaxRetries int
-	// RetryBase is the backoff before the first retransmission; attempt
-	// k waits RetryBase<<k, capped at RetryCap. Default 20ms.
-	RetryBase time.Duration
-	// RetryCap bounds the exponential backoff. Default 320ms.
-	RetryCap time.Duration
-	// RetryJitter spreads each delay uniformly over ±RetryJitter×delay
-	// to decorrelate retransmit storms. Default 0.25; negative disables.
-	RetryJitter float64
 
-	// BreakerThreshold opens a link's circuit breaker after this many
-	// consecutive send failures (exhausted retry budgets). Default 3;
-	// negative disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker rejects traffic before
-	// admitting a single half-open probe. Default 2s.
-	BreakerCooldown time.Duration
-	// FlapLimit quarantines a link that opens its breaker this many
-	// times within FlapWindow. Default 3; negative disables.
-	FlapLimit int
-	// FlapWindow is the sliding window for flap counting. Default 10s.
-	FlapWindow time.Duration
-	// Quarantine is how long a flapping link is exiled: no tracked
-	// sends, no probes, best-effort only. Default 30s.
-	Quarantine time.Duration
-
-	// AckDelay enables ACK coalescing (requires ARQ): instead of acking
-	// every data frame immediately, acks accumulate per link for up to
-	// AckDelay and go out as one range-coded KindAckBatch frame. Pending
-	// acks also flush when AckMax of them are queued, when reverse data
-	// traffic toward the peer proves the radio is about to be used
-	// anyway, and when the link's breaker changes state. 0 keeps the
-	// classic ack-per-frame path byte-identical.
+	// AckDelay enables ACK coalescing: instead of acking every data
+	// frame immediately, acks accumulate per link for up to AckDelay and
+	// go out as one range-coded KindAckBatch frame. Pending acks also
+	// flush when ackMax of them are queued, when reverse data traffic
+	// toward the peer proves the radio is about to be used anyway, and
+	// when the link's breaker changes state. 0 acks every frame at once.
 	AckDelay time.Duration
-	// AckMax flushes a link's pending acks early once this many are
-	// queued. Default 16 when AckDelay > 0.
-	AckMax int
 }
 
-// Enabled reports whether the transport does anything beyond passing
-// payloads through (i.e. whether frames appear on the wire).
-func (c Config) Enabled() bool { return c.Framed || c.ARQ }
+// Fixed reliability parameters. No deployment tunes them.
+const (
+	// retryBase is the backoff before the first retransmission; attempt
+	// k waits retryBase<<k, capped at retryCap.
+	retryBase = 20 * time.Millisecond
+	retryCap  = 320 * time.Millisecond
+	// retryJitter spreads each delay uniformly over ±retryJitter×delay
+	// to decorrelate retransmit storms.
+	retryJitter = 0.25
+
+	// breakerThreshold opens a link's circuit breaker after this many
+	// consecutive send failures (exhausted retry budgets).
+	breakerThreshold = 3
+	// breakerCooldown is how long an open breaker rejects traffic before
+	// admitting a single half-open probe.
+	breakerCooldown = 2 * time.Second
+	// flapLimit quarantines a link that opens its breaker this many
+	// times within flapWindow.
+	flapLimit  = 3
+	flapWindow = 10 * time.Second
+	// quarantine is how long a flapping link is exiled: no tracked
+	// sends, no probes, best-effort only.
+	quarantine = 30 * time.Second
+
+	// ackMax flushes a link's pending coalesced acks early once this
+	// many are queued.
+	ackMax = 16
+)
 
 // Validate rejects raw configs whose knobs withDefaults would otherwise
 // quietly replace or misread: negative durations and retry counts are
-// deployment-file typos, not requests for a default. The documented
-// "negative disables" knobs (RetryJitter, BreakerThreshold, FlapLimit)
-// stay legal. Mirrors core.Config.Validate.
+// deployment-file typos, not requests for a default. Mirrors
+// core.Config.Validate.
 func (c Config) Validate() error {
-	for _, d := range []struct {
-		name string
-		v    time.Duration
-	}{
-		{"RetryBase", c.RetryBase},
-		{"RetryCap", c.RetryCap},
-		{"BreakerCooldown", c.BreakerCooldown},
-		{"FlapWindow", c.FlapWindow},
-		{"Quarantine", c.Quarantine},
-		{"AckDelay", c.AckDelay},
-	} {
-		if d.v < 0 {
-			return fmt.Errorf("transport: %s must not be negative, got %v", d.name, d.v)
-		}
+	if c.AckDelay < 0 {
+		return fmt.Errorf("transport: AckDelay must not be negative, got %v", c.AckDelay)
 	}
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("transport: MaxRetries must not be negative, got %d", c.MaxRetries)
-	}
-	if c.AckMax < 0 {
-		return fmt.Errorf("transport: AckMax must not be negative, got %d", c.AckMax)
 	}
 	if c.AckDelay > 0 && !c.ARQ {
 		return fmt.Errorf("transport: AckDelay requires ARQ")
@@ -124,90 +101,38 @@ func (c Config) Validate() error {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ARQ {
-		c.Framed = true
-	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 4
-	}
-	if c.RetryBase == 0 {
-		c.RetryBase = 20 * time.Millisecond
-	}
-	if c.RetryCap == 0 {
-		c.RetryCap = 320 * time.Millisecond
-	}
-	if c.RetryJitter == 0 {
-		c.RetryJitter = 0.25
-	}
-	if c.RetryJitter < 0 {
-		c.RetryJitter = 0
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.FlapLimit == 0 {
-		c.FlapLimit = 3
-	}
-	if c.FlapWindow == 0 {
-		c.FlapWindow = 10 * time.Second
-	}
-	if c.Quarantine == 0 {
-		c.Quarantine = 30 * time.Second
-	}
-	if c.AckDelay > 0 && c.AckMax <= 0 {
-		c.AckMax = 16
 	}
 	return c
 }
 
-// BaseRetryDelay is the deterministic (jitter-free) backoff before
-// retransmission attempt k (0-based): RetryBase<<k capped at RetryCap.
-func BaseRetryDelay(cfg Config, attempt int) time.Duration {
-	return cfg.withDefaults().baseRetryDelay(attempt)
-}
-
-// RetryDelay draws the jittered backoff before retransmission attempt k
-// (0-based): BaseRetryDelay spread uniformly over ±RetryJitter×delay.
-// All randomness comes from rng, so a seeded stream reproduces the
-// exact retransmit schedule.
-func RetryDelay(cfg Config, attempt int, rng *xrand.RNG) time.Duration {
-	return cfg.withDefaults().retryDelay(attempt, rng)
-}
-
-// baseRetryDelay and retryDelay are BaseRetryDelay and RetryDelay on a
-// config withDefaults has already normalized. Normalizing twice would
-// read a disabled jitter (negative, normalized to 0) as unset and turn
-// the default back on.
-func (cfg Config) baseRetryDelay(attempt int) time.Duration {
+// baseRetryDelay is the deterministic (jitter-free) backoff before
+// retransmission attempt k (0-based): retryBase<<k capped at retryCap.
+func baseRetryDelay(attempt int) time.Duration {
 	if attempt < 0 {
 		attempt = 0
 	}
-	d := cfg.RetryBase
+	d := retryBase
 	// Shifting past 62 bits would overflow time.Duration long before
 	// the cap comparison; clamp the exponent instead.
-	for i := 0; i < attempt && d < cfg.RetryCap; i++ {
+	for i := 0; i < attempt && d < retryCap; i++ {
 		d <<= 1
 	}
-	if d > cfg.RetryCap {
-		d = cfg.RetryCap
-	}
-	return d
+	return min(d, retryCap)
 }
 
-func (cfg Config) retryDelay(attempt int, rng *xrand.RNG) time.Duration {
-	base := cfg.baseRetryDelay(attempt)
-	if cfg.RetryJitter == 0 || rng == nil {
+// retryDelay draws the jittered backoff before retransmission attempt k
+// (0-based): baseRetryDelay spread uniformly over ±retryJitter×delay.
+// All randomness comes from rng, so a seeded stream reproduces the
+// exact retransmit schedule.
+func retryDelay(attempt int, rng *xrand.RNG) time.Duration {
+	base := baseRetryDelay(attempt)
+	if rng == nil {
 		return base
 	}
 	u := 2*rng.Float64() - 1 // uniform in [-1, 1)
-	d := time.Duration(float64(base) * (1 + cfg.RetryJitter*u))
-	if d < 0 {
-		d = 0
-	}
-	return d
+	return time.Duration(float64(base) * (1 + retryJitter*u))
 }
 
 // BreakerState is a link's health phase.
@@ -385,8 +310,8 @@ type Endpoint struct {
 // NewEndpoint builds an endpoint for node local. rng seeds the boot
 // epoch and all jitter draws; send transmits a marshalled frame toward
 // a peer; deliver hands a fresh payload up the stack. cfg is
-// normalized with defaults (zero value = transport off; such an
-// endpoint still works but callers should bypass it entirely).
+// normalized with defaults. An endpoint always acknowledges and
+// retransmits; cfg.ARQ only tells hosts whether to build endpoints.
 func NewEndpoint(cfg Config, local int, rng *xrand.RNG, send func(to int, frame []byte), deliver func(from int, payload []byte)) *Endpoint {
 	// Programmer error, same contract as live.Start's behavior check:
 	// defaults must never paper over a config that Validate rejects.
@@ -536,11 +461,11 @@ func (e *Endpoint) InFlight() int {
 	return n
 }
 
-// Send frames payload toward peer and transmits it. Under ARQ the
-// frame is tracked for retransmission unless the link's breaker
-// rejects it, in which case the frame still goes out once, best-effort
-// (graceful degradation: an open breaker never silences a node, it
-// only stops the transport from burning retries on a dead peer).
+// Send frames payload toward peer and transmits it. The frame is
+// tracked for retransmission unless the link's breaker rejects it, in
+// which case the frame still goes out once, best-effort (graceful
+// degradation: an open breaker never silences a node, it only stops
+// the transport from burning retries on a dead peer).
 func (e *Endpoint) Send(to int, payload []byte, now time.Duration) {
 	l := e.link(to)
 	// Reverse traffic flushes coalesced acks first: the radio is about
@@ -550,9 +475,9 @@ func (e *Endpoint) Send(to int, payload []byte, now time.Duration) {
 	l.nextSeq++
 	f := Frame{Kind: KindData, From: uint32(e.local), Epoch: e.epoch, Seq: l.nextSeq, Payload: payload}
 	e.m.TxData.Inc()
-	if e.cfg.ARQ && e.admit(l, now) {
+	if e.admit(l, now) {
 		raw := f.AppendMarshal(e.takeRaw(HeaderSize + len(payload)))
-		at := now + e.cfg.retryDelay(0, e.rng)
+		at := now + retryDelay(0, e.rng)
 		l.inflight = append(l.inflight, pending{seq: l.nextSeq, tick: e.ticks, raw: raw, nextAt: at})
 		e.lower(l, at)
 		if l.state == BreakerHalfOpen {
@@ -599,15 +524,13 @@ func (e *Endpoint) HandleRaw(raw []byte, now time.Duration) {
 	case KindData:
 		l := e.link(from)
 		fresh := l.accept(f.Epoch, f.Seq)
-		if e.cfg.ARQ {
-			if e.cfg.AckDelay > 0 {
-				e.queueAck(l, f.Epoch, f.Seq, now)
-			} else {
-				ack := Frame{Kind: KindAck, From: uint32(e.local), Epoch: f.Epoch, Seq: f.Seq}
-				e.scratch = ack.AppendMarshal(e.scratch[:0])
-				e.m.TxAcks.Inc()
-				e.send(from, e.scratch)
-			}
+		if e.cfg.AckDelay > 0 {
+			e.queueAck(l, f.Epoch, f.Seq, now)
+		} else {
+			ack := Frame{Kind: KindAck, From: uint32(e.local), Epoch: f.Epoch, Seq: f.Seq}
+			e.scratch = ack.AppendMarshal(e.scratch[:0])
+			e.m.TxAcks.Inc()
+			e.send(from, e.scratch)
 		}
 		if !fresh {
 			e.m.DupDrops.Inc()
@@ -633,7 +556,7 @@ func (e *Endpoint) HandleRaw(raw []byte, now time.Duration) {
 		l := e.link(from)
 		// Bound the expansion work per frame: a forged 65535-count range
 		// must not turn one datagram into a 65535-iteration loop. Real
-		// batches are AckMax seqs at most, far under the cap.
+		// batches are ackMax seqs at most, far under the cap.
 		budget := maxAckBatchSeqs
 		for p := f.Payload; len(p) >= AckRangeSize; p = p[AckRangeSize:] {
 			start := binary.BigEndian.Uint32(p)
@@ -678,7 +601,7 @@ func (e *Endpoint) ackOne(l *link, seq uint32, now time.Duration) {
 
 // queueAck records one coalesced acknowledgement toward l's peer,
 // flushing on epoch change (acks echo the data epoch, so one batch
-// cannot mix incarnations) and on the AckMax high-water mark. The first
+// cannot mix incarnations) and on the ackMax high-water mark. The first
 // queued ack starts the AckDelay deadline clock; Tick and NextWake
 // honor it.
 func (e *Endpoint) queueAck(l *link, epoch, seq uint32, now time.Duration) {
@@ -691,7 +614,7 @@ func (e *Endpoint) queueAck(l *link, epoch, seq uint32, now time.Duration) {
 		e.lower(l, l.ackDue)
 	}
 	l.ackPend = append(l.ackPend, seq)
-	if len(l.ackPend) >= e.cfg.AckMax {
+	if len(l.ackPend) >= ackMax {
 		e.flushAcks(l, now)
 	}
 }
@@ -782,9 +705,6 @@ func (l *link) accept(epoch, seq uint32) bool {
 // frames. Tick skips retired frames and leaves frames sent during itself
 // to the next Tick.
 func (e *Endpoint) Tick(now time.Duration) {
-	if !e.cfg.ARQ {
-		return
-	}
 	if w, ok := e.NextWake(); !ok || w > now {
 		return
 	}
@@ -827,7 +747,7 @@ func (e *Endpoint) tickLink(l *link, now time.Duration) {
 		} else {
 			p.attempts++
 			e.drop(l, p.nextAt)
-			p.nextAt = now + e.cfg.retryDelay(p.attempts, e.rng)
+			p.nextAt = now + retryDelay(p.attempts, e.rng)
 			e.lower(l, p.nextAt)
 			e.m.Retransmits.Inc()
 			e.sendTracked(l.peer, p.raw)
@@ -850,7 +770,7 @@ func (e *Endpoint) fail(l *link, seq uint32, now time.Duration) {
 		return
 	}
 	l.fails++
-	if l.state == BreakerClosed && e.cfg.BreakerThreshold > 0 && l.fails >= e.cfg.BreakerThreshold {
+	if l.state == BreakerClosed && l.fails >= breakerThreshold {
 		e.open(l, now)
 	}
 }
@@ -869,20 +789,20 @@ func (e *Endpoint) open(l *link, now time.Duration) {
 	l.fails = 0
 	l.probe = 0
 	e.m.Opens.Inc()
-	if now-l.flapStart > e.cfg.FlapWindow {
+	if now-l.flapStart > flapWindow {
 		l.flapStart = now
 		l.flapOpens = 0
 	}
 	l.flapOpens++
-	if e.cfg.FlapLimit > 0 && l.flapOpens >= e.cfg.FlapLimit {
-		l.reopenAt = now + e.cfg.Quarantine
+	if l.flapOpens >= flapLimit {
+		l.reopenAt = now + quarantine
 		l.flapOpens = 0
-		l.flapStart = now + e.cfg.Quarantine
+		l.flapStart = now + quarantine
 		l.quarantined = true
 		e.m.Quarantines.Inc()
 		return
 	}
-	l.reopenAt = now + e.cfg.BreakerCooldown
+	l.reopenAt = now + breakerCooldown
 }
 
 // NextWake returns the earliest deadline across all links — retransmit

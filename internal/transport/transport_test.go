@@ -8,21 +8,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// testCfg is a compressed, jitter-free configuration so transitions
-// land on exact virtual timestamps.
+// testCfg gives each frame one retransmission, so a lost send fails
+// within two jittered backoffs. Tests read retransmit deadlines from
+// NextWake; breaker and quarantine deadlines are jitter-free.
 func testCfg() Config {
-	return Config{
-		ARQ:              true,
-		MaxRetries:       1,
-		RetryBase:        10 * time.Millisecond,
-		RetryCap:         40 * time.Millisecond,
-		RetryJitter:      -1, // disabled
-		BreakerThreshold: 2,
-		BreakerCooldown:  100 * time.Millisecond,
-		FlapLimit:        3,
-		FlapWindow:       10 * time.Second,
-		Quarantine:       time.Second,
-	}
+	return Config{ARQ: true, MaxRetries: 1}
 }
 
 // sink collects an endpoint's outbound frames.
@@ -52,35 +42,33 @@ func ackFor(peer int, f Frame) []byte {
 }
 
 func TestRetryDelayMonotoneCapped(t *testing.T) {
-	cfg := Config{ARQ: true}.withDefaults()
 	prev := time.Duration(0)
 	for k := 0; k < 80; k++ {
-		d := BaseRetryDelay(cfg, k)
+		d := baseRetryDelay(k)
 		if d < prev {
 			t.Fatalf("attempt %d: base delay %v < previous %v (not monotone)", k, d, prev)
 		}
-		if d > cfg.RetryCap {
-			t.Fatalf("attempt %d: base delay %v exceeds cap %v", k, d, cfg.RetryCap)
+		if d > retryCap {
+			t.Fatalf("attempt %d: base delay %v exceeds cap %v", k, d, retryCap)
 		}
 		prev = d
 	}
-	if got := BaseRetryDelay(cfg, 0); got != cfg.RetryBase {
-		t.Fatalf("attempt 0 delay = %v, want RetryBase %v", got, cfg.RetryBase)
+	if got := baseRetryDelay(0); got != retryBase {
+		t.Fatalf("attempt 0 delay = %v, want retryBase %v", got, retryBase)
 	}
-	if got := BaseRetryDelay(cfg, 79); got != cfg.RetryCap {
-		t.Fatalf("attempt 79 delay = %v, want cap %v", got, cfg.RetryCap)
+	if got := baseRetryDelay(79); got != retryCap {
+		t.Fatalf("attempt 79 delay = %v, want cap %v", got, retryCap)
 	}
 }
 
 func TestRetryDelayJitterBounds(t *testing.T) {
-	cfg := Config{ARQ: true}.withDefaults()
 	rng := xrand.New(xrand.TrialSeed(7, 3, 11))
 	for k := 0; k < 2000; k++ {
 		attempt := k % 10
-		base := BaseRetryDelay(cfg, attempt)
-		lo := time.Duration(float64(base) * (1 - cfg.RetryJitter))
-		hi := time.Duration(float64(base) * (1 + cfg.RetryJitter))
-		d := RetryDelay(cfg, attempt, rng)
+		base := baseRetryDelay(attempt)
+		lo := time.Duration(float64(base) * (1 - retryJitter))
+		hi := time.Duration(float64(base) * (1 + retryJitter))
+		d := retryDelay(attempt, rng)
 		if d < lo || d > hi {
 			t.Fatalf("attempt %d: jittered delay %v outside [%v, %v]", attempt, d, lo, hi)
 		}
@@ -88,11 +76,10 @@ func TestRetryDelayJitterBounds(t *testing.T) {
 }
 
 func TestRetryDelayDeterministicPerStream(t *testing.T) {
-	cfg := Config{ARQ: true}.withDefaults()
 	seed := xrand.TrialSeed(42, 1, 2)
 	a, b := xrand.New(seed), xrand.New(seed)
 	for k := 0; k < 500; k++ {
-		da, db := RetryDelay(cfg, k%8, a), RetryDelay(cfg, k%8, b)
+		da, db := retryDelay(k%8, a), retryDelay(k%8, b)
 		if da != db {
 			t.Fatalf("draw %d: %v != %v for identical TrialSeed streams", k, da, db)
 		}
@@ -101,7 +88,7 @@ func TestRetryDelayDeterministicPerStream(t *testing.T) {
 	c := xrand.New(xrand.TrialSeed(42, 1, 3))
 	same := true
 	for k := 0; k < 50; k++ {
-		if RetryDelay(cfg, k%8, xrand.New(seed)) != RetryDelay(cfg, k%8, c) {
+		if retryDelay(k%8, xrand.New(seed)) != retryDelay(k%8, c) {
 			same = false
 		}
 	}
@@ -134,8 +121,8 @@ func TestBreakerTransitions(t *testing.T) {
 	const peer = 7
 	now := time.Duration(0)
 
-	// Step 1: two exhausted sends (threshold 2) trip the breaker.
-	for i := 0; i < 2; i++ {
+	// Step 1: breakerThreshold exhausted sends trip the breaker.
+	for i := 0; i < breakerThreshold; i++ {
 		if got := e.BreakerState(peer); got != BreakerClosed {
 			t.Fatalf("send %d: state = %v, want closed", i, got)
 		}
@@ -143,7 +130,7 @@ func TestBreakerTransitions(t *testing.T) {
 		now = drainRetries(e, now)
 	}
 	if got := e.BreakerState(peer); got != BreakerOpen {
-		t.Fatalf("after %d failures: state = %v, want open", 2, got)
+		t.Fatalf("after %d failures: state = %v, want open", breakerThreshold, got)
 	}
 	if v := m.Opens.Value(); v != 1 {
 		t.Fatalf("breaker opens = %d, want 1", v)
@@ -166,7 +153,7 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 
 	// Step 3: after the cooldown a send becomes the half-open probe.
-	now += 200 * time.Millisecond // past reopenAt
+	now += breakerCooldown + time.Millisecond // past reopenAt
 	e.Send(peer, []byte("probe"), now)
 	if got := e.BreakerState(peer); got != BreakerHalfOpen {
 		t.Fatalf("state = %v, want half-open", got)
@@ -199,14 +186,14 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	e := NewEndpoint(testCfg(), 0, xrand.New(2), out.send, func(int, []byte) {})
 	const peer = 3
 	now := time.Duration(0)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		e.Send(peer, []byte("x"), now)
 		now = drainRetries(e, now)
 	}
 	if got := e.BreakerState(peer); got != BreakerOpen {
 		t.Fatalf("state = %v, want open", got)
 	}
-	now += 150 * time.Millisecond
+	now += breakerCooldown + time.Millisecond
 	e.Send(peer, []byte("probe"), now)
 	if got := e.BreakerState(peer); got != BreakerHalfOpen {
 		t.Fatalf("state = %v, want half-open", got)
@@ -221,42 +208,41 @@ func TestBreakerFlappingQuarantine(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	out := &sink{}
-	cfg := testCfg()
-	e := NewEndpoint(cfg, 0, xrand.New(3), out.send, func(int, []byte) {})
+	e := NewEndpoint(testCfg(), 0, xrand.New(3), out.send, func(int, []byte) {})
 	e.SetMetrics(m)
 	const peer = 5
 	now := time.Duration(0)
 
-	// Three opens inside the flap window: open #1 via threshold, then
-	// two more via probe failures.
-	for i := 0; i < 2; i++ {
+	// flapLimit opens inside the flap window: open #1 via threshold,
+	// then the rest via probe failures.
+	for i := 0; i < breakerThreshold; i++ {
 		e.Send(peer, []byte("x"), now)
 		now = drainRetries(e, now)
 	}
-	for open := 1; open < 3; open++ {
+	for open := 1; open < flapLimit; open++ {
 		if e.Quarantined(peer) {
 			t.Fatalf("open %d: quarantined too early", open)
 		}
-		now += cfg.BreakerCooldown + time.Millisecond
+		now += breakerCooldown + time.Millisecond
 		e.Send(peer, []byte("probe"), now)
 		now = drainRetries(e, now)
 	}
 	if !e.Quarantined(peer) {
-		t.Fatalf("after 3 opens in window: not quarantined (state=%v)", e.BreakerState(peer))
+		t.Fatalf("after %d opens in window: not quarantined (state=%v)", flapLimit, e.BreakerState(peer))
 	}
 	if v := m.Quarantines.Value(); v != 1 {
 		t.Fatalf("quarantines = %d, want 1", v)
 	}
 
 	// Inside the quarantine, even cooldown-length waits admit nothing.
-	now += cfg.BreakerCooldown + time.Millisecond
+	now += breakerCooldown + time.Millisecond
 	e.Send(peer, []byte("still exiled"), now)
 	if e.InFlight() != 0 || !e.Quarantined(peer) {
 		t.Fatal("quarantined link admitted a tracked send before the quarantine elapsed")
 	}
 
 	// After the quarantine: probe, ack, recovery.
-	now += cfg.Quarantine
+	now += quarantine
 	e.Send(peer, []byte("probe"), now)
 	if got := e.BreakerState(peer); got != BreakerHalfOpen {
 		t.Fatalf("post-quarantine state = %v, want half-open", got)
@@ -373,14 +359,14 @@ func TestRetransmitStopsAfterLateAck(t *testing.T) {
 
 // TestTickToleratesReentrantAcks wires two endpoints through a
 // synchronous carrier, where send runs the peer's HandleRaw before it
-// returns. The receiver coalesces acks with AckMax 2. The sender's first
-// frame is lost and its second is delivered, so the receiver holds one
-// pending ack. When Tick retransmits seq 1, the receiver's second
-// pending ack reaches AckMax and the batch for seqs 1-2 comes back into
-// the sender inside Tick, acking seq 2 before Tick reaches it. Tick
-// must skip the frame that left the retransmit set under it.
+// returns. The receiver coalesces acks. The sender's first frame is lost
+// and the next ackMax-1 are delivered, so the receiver holds ackMax-1
+// pending acks. When Tick retransmits seq 1, the receiver's pending acks
+// reach ackMax and the batch for seqs 1-ackMax comes back into the
+// sender inside Tick, acking seqs 2-ackMax before Tick reaches them.
+// Tick must skip the frames that left the retransmit set under it.
 func TestTickToleratesReentrantAcks(t *testing.T) {
-	cfg := Config{ARQ: true, AckDelay: 5 * time.Millisecond, AckMax: 2}
+	cfg := Config{ARQ: true, AckDelay: 5 * time.Millisecond}
 	var a, b *Endpoint
 	var now time.Duration
 	lose := map[uint32]bool{1: true}
@@ -400,18 +386,19 @@ func TestTickToleratesReentrantAcks(t *testing.T) {
 		a.HandleRaw(raw, now)
 	}, func(_ int, p []byte) { delivered = append(delivered, string(p)) })
 
-	a.Send(1, []byte("one"), 0)
-	a.Send(1, []byte("two"), 0)
-	if got := a.InFlight(); got != 2 {
-		t.Fatalf("%d frames in flight before Tick, want 2", got)
+	for seq := 1; seq <= ackMax; seq++ {
+		a.Send(1, []byte{byte(seq)}, 0)
+	}
+	if got := a.InFlight(); got != ackMax {
+		t.Fatalf("%d frames in flight before Tick, want %d", got, ackMax)
 	}
 	now = time.Second
 	a.Tick(now)
 	if got := a.InFlight(); got != 0 {
 		t.Fatalf("%d frames in flight after the re-entrant ack batch, want 0", got)
 	}
-	if len(delivered) != 2 || delivered[0] != "two" || delivered[1] != "one" {
-		t.Fatalf("delivered %q, want [two one]", delivered)
+	if len(delivered) != ackMax || delivered[0] != "\x02" || delivered[ackMax-1] != "\x01" {
+		t.Fatalf("delivered %q, want seqs 2-%d, then 1", delivered, ackMax)
 	}
 	if _, ok := a.NextWake(); ok {
 		t.Fatal("sender still wants a wake with nothing in flight")
@@ -456,33 +443,5 @@ func TestRoundTripAllocs(t *testing.T) {
 	// and its retransmit record the link's in-flight slice.
 	if avg != 0 {
 		t.Fatalf("send+ack round trip allocates %.1f objects, want 0", avg)
-	}
-}
-
-// TestNegativeJitterDisablesJitter: a negative RetryJitter must keep
-// the endpoint's retransmit deadlines exactly on the backoff schedule.
-// The endpoint normalizes its config once; normalizing it again per
-// draw used to read the disabled jitter as unset and restore the
-// default ±25%.
-func TestNegativeJitterDisablesJitter(t *testing.T) {
-	cfg := testCfg()
-	e := NewEndpoint(cfg, 0, xrand.New(5), func(int, []byte) {}, func(int, []byte) {})
-	e.Send(1, []byte("x"), 0)
-	for attempt := 0; attempt <= cfg.MaxRetries; attempt++ {
-		w, ok := e.NextWake()
-		if !ok {
-			t.Fatalf("attempt %d: no wake with a frame in flight", attempt)
-		}
-		var want time.Duration
-		for k := 0; k <= attempt; k++ {
-			want += BaseRetryDelay(cfg, k)
-		}
-		if w != want {
-			t.Fatalf("attempt %d: wake at %v, want %v", attempt, w, want)
-		}
-		e.Tick(w)
-	}
-	if e.InFlight() != 0 {
-		t.Fatal("frame still in flight after its retry budget")
 	}
 }
