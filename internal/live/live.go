@@ -121,9 +121,9 @@ type liveMetrics struct {
 
 func newLiveMetrics(r *obs.Registry) liveMetrics {
 	return liveMetrics{
-		tx:      r.Counter("live_tx_total", "packets broadcast by live nodes"),
-		txBytes: r.Counter("live_tx_bytes_total", "payload bytes broadcast by live nodes"),
-		rx:      r.Counter("live_rx_total", "packets received by live nodes"),
+		tx:      r.Counter("live_tx_total", "packets and transport frames transmitted by live nodes"),
+		txBytes: r.Counter("live_tx_bytes_total", "bytes transmitted by live nodes"),
+		rx:      r.Counter("live_rx_total", "packets and transport frames received by live nodes"),
 		dropped: r.Counter("live_inbox_dropped_total", "packets lost to inbox overflow"),
 		lost:    r.Counter("live_lost_total", "packets dropped by the loss model"),
 		timers:  r.Counter("live_timers_fired_total", "node timers fired"),
@@ -229,7 +229,7 @@ func Start(cfg Config, behaviors []node.Behavior) *Network {
 			idx := i
 			h.ep = transport.NewEndpoint(cfg.Transport, i, h.rng.Split(^uint64(0)),
 				func(to int, frame []byte) { n.sendFrame(idx, to, frame) },
-				h.deliverUp)
+				func(from int, payload []byte) { h.behavior.Receive(h, node.ID(from), payload) })
 			h.ep.SetMetrics(n.tm)
 		}
 		n.hosts[i] = h
@@ -342,12 +342,14 @@ func (n *Network) BreakerState(i, peer int) transport.BreakerState {
 }
 
 // sendFrame moves one marshalled transport frame from a local sender
-// toward its destination: the loss model and fault-injection seam run
-// here (per frame — so retransmissions and acks face the same medium
-// as first transmissions), then the frame lands in a local inbox or on
-// the carrier. Called from node goroutines; the frame slice is copied
-// because endpoints reuse marshal scratch.
+// toward its destination. The sender pays Tx for every frame, data,
+// ack or retransmission alike; then the loss model and fault-injection
+// seam run (per frame — so retransmissions and acks face the same
+// medium as first transmissions), and the frame lands in a local inbox
+// or on the carrier. Called from node goroutines; the frame slice is
+// copied because endpoints reuse marshal scratch.
 func (n *Network) sendFrame(from, to int, frame []byte) {
+	n.hosts[from].chargeTx(len(frame))
 	if n.cfg.Loss > 0 || n.cfg.Drop != nil {
 		n.lossMu.Lock()
 		dropped := n.cfg.Drop != nil && n.cfg.Drop(time.Since(n.start), from, to)
@@ -474,13 +476,15 @@ func (h *lhost) run() {
 			if !h.alive.Load() {
 				return
 			}
+			h.chargeRx(len(p.data))
 			if p.raw {
 				// Framed path: acks/dup-suppression first, then the
-				// payload surfaces through deliverUp.
+				// payload surfaces through the endpoint's delivery
+				// callback.
 				h.ep.HandleRaw(p.data, h.Now())
 				continue
 			}
-			h.deliverUp(int(p.from), p.data)
+			h.behavior.Receive(h, p.from, p.data)
 		case fn := <-h.cmds:
 			if !h.alive.Load() {
 				return
@@ -500,14 +504,21 @@ func (h *lhost) run() {
 	}
 }
 
-// deliverUp hands one radio payload to the behavior, charging Rx. It is
-// both the legacy inbox path and the endpoint's delivery callback.
-func (h *lhost) deliverUp(from int, data []byte) {
+// chargeRx charges receiving one packet or frame of n bytes.
+func (h *lhost) chargeRx(n int) {
 	h.net.m.rx.Inc()
 	h.meterMu.Lock()
-	h.meter.ChargeRx(h.net.cfg.Energy, len(data))
+	h.meter.ChargeRx(h.net.cfg.Energy, n)
 	h.meterMu.Unlock()
-	h.behavior.Receive(h, node.ID(from), data)
+}
+
+// chargeTx charges transmitting one packet or frame of n bytes.
+func (h *lhost) chargeTx(n int) {
+	h.net.m.tx.Inc()
+	h.net.m.txBytes.Add(uint64(n))
+	h.meterMu.Lock()
+	h.meter.ChargeTx(h.net.cfg.Energy, n)
+	h.meterMu.Unlock()
 }
 
 // rearmARQ sets the retransmit clock to the endpoint's earliest
@@ -584,20 +595,13 @@ func (h *lhost) ID() node.ID { return h.id }
 func (h *lhost) Now() time.Duration { return time.Since(h.start) }
 
 // Broadcast implements node.Context. On the framed path the broadcast
-// becomes one transport frame per neighbor (each with its own seq and,
-// under ARQ, its own retry schedule); Tx energy is still charged once
-// per Broadcast, matching the radio model of the bare path —
-// retransmissions and acks are deliberately free, a simplification
-// documented in docs/TRANSPORT.md.
+// becomes one transport frame per neighbor (each with its own seq and
+// retry schedule), and sendFrame charges Tx for each frame; the bare
+// path charges one Tx per Broadcast.
 func (h *lhost) Broadcast(pkt []byte) {
 	if !h.alive.Load() {
 		return
 	}
-	h.net.m.tx.Inc()
-	h.net.m.txBytes.Add(uint64(len(pkt)))
-	h.meterMu.Lock()
-	h.meter.ChargeTx(h.net.cfg.Energy, len(pkt))
-	h.meterMu.Unlock()
 	if h.ep != nil {
 		now := h.Now()
 		for _, nb := range h.net.cfg.Graph.Neighbors(h.idx) {
@@ -611,6 +615,7 @@ func (h *lhost) Broadcast(pkt []byte) {
 		h.rearmARQ()
 		return
 	}
+	h.chargeTx(len(pkt))
 	h.net.deliver(h.idx, h.id, pkt)
 }
 

@@ -48,6 +48,40 @@ func TestFramedARQSurvivesDeterministicDrop(t *testing.T) {
 	}
 }
 
+// TestFramedTxChargedPerFrame checks the framed path's energy rule:
+// every frame a node puts on a link — data, retransmission or ack —
+// costs it one Tx, so each meter's Tx count equals the frames that node
+// passed to the Drop seam.
+func TestFramedTxChargedPerFrame(t *testing.T) {
+	g := lineGraph(2)
+	cs := []*counter{{}, {}}
+	var mu sync.Mutex
+	var sent [2]int
+	drop := func(now time.Duration, from, to int) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		sent[from]++
+		return (sent[0]+sent[1])%2 == 1
+	}
+	net := Start(Config{Graph: g, Seed: 5, Transport: transport.Config{ARQ: true}, Drop: drop},
+		[]node.Behavior{cs[0], cs[1]})
+	const msgs = 6
+	for k := 0; k < msgs; k++ {
+		net.Do(0, func(ctx node.Context) { ctx.Broadcast([]byte("payload")) })
+	}
+	waitFor(t, 10*time.Second, func() bool { return cs[1].received.Load() == msgs })
+	net.Stop()
+	for i := range sent {
+		m := net.MeterSnapshot(i)
+		if got := m.TxCount(); got != sent[i] {
+			t.Errorf("node %d charged %d transmissions for %d frames", i, got, sent[i])
+		}
+	}
+	if sent[0] <= msgs || sent[1] == 0 {
+		t.Fatalf("sender put %d frames for %d payloads and the receiver %d acks; the drops should force retransmissions and acks", sent[0], msgs, sent[1])
+	}
+}
+
 // TestDoOnCrashedNodeDoesNotBlock is the regression test for the Do /
 // Crash deadlock: a crashed node's goroutine has exited, so once its
 // command buffer is full, Do used to block its caller forever.

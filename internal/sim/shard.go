@@ -100,6 +100,8 @@ type shard struct {
 	free   evPool
 	freeTx []*txTrace
 	pkts   pktArena
+	// one is the receiver list of a unicast (Engine.SendTo).
+	one [1]int32
 }
 
 // cbKind discriminates buffered death and crash callbacks. The kind is
@@ -243,19 +245,19 @@ func (s *shard) dispatch(ev *event) {
 	s.free.put(ev)
 }
 
-// deliverFrom fans a transmission from h's radio position out to every
-// neighbor. Each receiver gets a private arena copy, so neither the
+// deliver carries one transmission from h's radio position to the
+// receivers nbs. Each receiver gets a private arena copy, so neither the
 // sender's later reuse of its buffer nor another receiver's in-place
 // mutation can corrupt a delivery — the same isolation a real radio
 // provides; the copy returns to the arena when Receive returns.
 //
 // The sender's private medium stream supplies exactly two variates
-// (loss, jitter) per receiver in neighbor order, lost or not, so loss
-// outcomes never shift later draws. In-shard receivers get heap events
-// directly, out-of-shard receivers get outbox entries. A packet lost to
+// (loss, jitter) per receiver in order, lost or not, so loss outcomes
+// never shift later draws. In-shard receivers get heap events directly,
+// out-of-shard receivers get outbox entries. A packet lost to
 // Config.Loss still ships when a fault plan is set, because fault chains
 // advance on every arrival.
-func (s *shard) deliverFrom(h *host, from node.ID, pkt []byte) {
+func (s *shard) deliver(h *host, from node.ID, pkt []byte, nbs []int32) {
 	e := s.eng
 	txAt := s.now
 	med := h.mediumStream()
@@ -263,7 +265,6 @@ func (s *shard) deliverFrom(h *host, from node.ID, pkt []byte) {
 	if s.inj != nil && jit > 0 {
 		jit = time.Duration(float64(jit) * s.inj.JitterScale(txAt))
 	}
-	nbs := e.cfg.Graph.Neighbors(h.idx)
 	var tr *txTrace
 	if e.cfg.Trace != nil {
 		tr = s.newTrace(h, from, pkt, nbs)

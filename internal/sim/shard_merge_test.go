@@ -35,6 +35,11 @@ type stormNode struct {
 	ticks    int
 	maxTicks int
 	log      []string // owned by this node's shard; read after Run returns
+
+	// eng, when set, turns the node unicast-heavy: a tick sends one
+	// Engine.SendTo frame to each neighbor, and a relay goes to one
+	// random neighbor.
+	eng *Engine
 }
 
 func (s *stormNode) quantized(ctx node.Context) time.Duration {
@@ -55,7 +60,12 @@ func (s *stormNode) Receive(ctx node.Context, from node.ID, pkt []byte) {
 	if ttl := pkt[0]; ttl > 0 {
 		fwd := append([]byte(nil), pkt...)
 		fwd[0] = ttl - 1
-		ctx.Broadcast(fwd)
+		if s.eng == nil {
+			ctx.Broadcast(fwd)
+			return
+		}
+		nbs := s.eng.Graph().Neighbors(s.idx)
+		s.eng.SendTo(s.idx, int(nbs[s.rng.Intn(len(nbs))]), fwd)
 	}
 }
 
@@ -63,7 +73,13 @@ func (s *stormNode) Timer(ctx node.Context, tag node.Tag) {
 	s.ticks++
 	s.log = append(s.log, fmt.Sprintf("timer@%d tag=%d", ctx.Now().Nanoseconds(), tag))
 	pkt := []byte{1, byte(s.idx), byte(s.ticks)}
-	ctx.Broadcast(pkt)
+	if s.eng == nil {
+		ctx.Broadcast(pkt)
+	} else {
+		for _, nb := range s.eng.Graph().Neighbors(s.idx) {
+			s.eng.SendTo(s.idx, int(nb), pkt)
+		}
+	}
 	if s.ticks < s.maxTicks {
 		ctx.SetTimer(s.quantized(ctx), node.Tag(1))
 	}
@@ -85,9 +101,10 @@ func newStorm(seed uint64, n int) ([]*stormNode, []node.Behavior) {
 	return nodes, behaviors
 }
 
-// stormTrace runs one storm and returns its full observable history:
-// the global trace in delivery order plus each node's private log.
-func stormTrace(t *testing.T, seed uint64, n, shards int, cfg Config) []string {
+// stormTrace runs one storm, unicast-heavy when unicast is set, and
+// returns its full observable history: the global trace in delivery
+// order plus each node's private log.
+func stormTrace(t *testing.T, seed uint64, n, shards int, cfg Config, unicast bool) []string {
 	t.Helper()
 	rng := xrand.New(seed)
 	g, err := topology.Generate(rng, topology.Config{N: n, Density: 8, Metric: geom.Torus})
@@ -106,6 +123,11 @@ func stormTrace(t *testing.T, seed uint64, n, shards int, cfg Config) []string {
 	eng, err := New(cfg, behaviors)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if unicast {
+		for _, sn := range nodes {
+			sn.eng = eng
+		}
 	}
 	eng.Boot(0)
 	eng.Run(120 * time.Millisecond)
@@ -131,31 +153,33 @@ func diffTraces(t *testing.T, label string, want, got []string) {
 }
 
 // TestShardMergeCanonicalOrder is the core property: for a table of
-// seeds and radio configurations, the observable history at shard
-// counts 2, 3, 4, and 7 is identical to the single-shard history —
-// colliding timestamps, loss draws, jitter draws, collision corruption
-// and all.
+// seeds and radio configurations, broadcast and unicast-heavy, the
+// observable history at shard counts 0, 2, 3, 4, and 7 is identical to
+// the single-shard history — colliding timestamps, loss draws, jitter
+// draws, collision corruption and all.
 func TestShardMergeCanonicalOrder(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  Config
+		name    string
+		cfg     Config
+		unicast bool
 	}{
-		{"zero-jitter", Config{Jitter: 1}}, // everything lands on the grid
-		{"default-jitter", Config{}},
-		{"lossy", Config{Loss: 0.3}},
-		{"collisions", Config{Collisions: true, Jitter: 3 * time.Millisecond}},
+		{"zero-jitter", Config{Jitter: 1}, false}, // everything lands on the grid
+		{"default-jitter", Config{}, false},
+		{"lossy", Config{Loss: 0.3}, false},
+		{"collisions", Config{Collisions: true, Jitter: 3 * time.Millisecond}, false},
+		{"unicast", Config{Loss: 0.1}, true},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range []uint64{1, 42, 9001} {
-				ref := stormTrace(t, seed, 60, 1, tc.cfg)
+				ref := stormTrace(t, seed, 60, 1, tc.cfg, tc.unicast)
 				if len(ref) < 100 {
 					t.Fatalf("seed %d: storm too quiet (%d events) to exercise the merge", seed, len(ref))
 				}
-				for _, shards := range []int{2, 3, 4, 7} {
-					got := stormTrace(t, seed, 60, shards, tc.cfg)
+				for _, shards := range []int{0, 2, 3, 4, 7} {
+					got := stormTrace(t, seed, 60, shards, tc.cfg, tc.unicast)
 					diffTraces(t, fmt.Sprintf("seed=%d shards=%d", seed, shards), ref, got)
 				}
 			}
@@ -171,9 +195,9 @@ func TestShardMergeCanonicalOrder(t *testing.T) {
 // goroutines through every barrier path.
 func TestShardMergeInterleavingStability(t *testing.T) {
 	cfg := Config{Loss: 0.1, Jitter: 2 * time.Millisecond}
-	ref := stormTrace(t, 7, 80, 4, cfg)
+	ref := stormTrace(t, 7, 80, 4, cfg, false)
 	for run := 1; run <= 4; run++ {
-		got := stormTrace(t, 7, 80, 4, cfg)
+		got := stormTrace(t, 7, 80, 4, cfg, false)
 		diffTraces(t, fmt.Sprintf("rerun %d", run), ref, got)
 	}
 }

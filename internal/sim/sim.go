@@ -201,8 +201,8 @@ type simMetrics struct {
 func newSimMetrics(r *obs.Registry) simMetrics {
 	return simMetrics{
 		events:     r.Counter("sim_events_total", "discrete events processed by the engine"),
-		tx:         r.Counter("sim_tx_total", "packets broadcast onto the medium"),
-		txBytes:    r.Counter("sim_tx_bytes_total", "payload bytes broadcast onto the medium"),
+		tx:         r.Counter("sim_tx_total", "transmissions onto the medium (broadcasts and SendTo unicasts)"),
+		txBytes:    r.Counter("sim_tx_bytes_total", "payload bytes transmitted onto the medium"),
 		rx:         r.Counter("sim_rx_total", "packets decoded by a receiver"),
 		lost:       r.Counter("sim_lost_total", "per-link deliveries dropped by loss or a fault plan"),
 		collisions: r.Counter("sim_collisions_total", "packets destroyed by the half-duplex collision model"),
@@ -295,7 +295,7 @@ func (p *evPool) put(ev *event) {
 	p.free = append(p.free, ev)
 }
 
-// pktArena recycles the per-receiver packet copies deliverFrom makes.
+// pktArena recycles the per-receiver packet copies deliver makes.
 // Buffers are handed to Behavior.Receive and reclaimed as soon as the
 // callback returns; see the package comment for the ownership contract.
 type pktArena struct {
@@ -635,17 +635,34 @@ func (e *Engine) Do(t time.Duration, i int, fn func(node.Context)) {
 func (e *Engine) InjectAt(at int, fakeFrom node.ID, pkt []byte) {
 	e.syncShardClocks()
 	h := e.hosts[at]
-	h.sh.deliverFrom(h, fakeFrom, pkt)
+	h.sh.deliver(h, fakeFrom, pkt, e.cfg.Graph.Neighbors(at))
 }
 
-// broadcast carries a host transmission onto the medium.
-func (e *Engine) broadcast(h *host, pkt []byte) {
+// SendTo transmits pkt from node from to node to alone: a broadcast
+// with exactly one receiver. It draws from the sender's medium stream,
+// charges Tx, and meets Loss, the fault plan and the Trace hook exactly
+// as a broadcast does. A dead sender sends nothing. Call it from the
+// sender's own callbacks or from the coordinator lane; to is normally a
+// graph neighbor of from, which the engine does not check.
+func (e *Engine) SendTo(from, to int, pkt []byte) {
+	h := e.hosts[from]
+	if !h.alive {
+		return
+	}
+	s := h.sh
+	s.one[0] = int32(to)
+	e.transmit(h, pkt, s.one[:])
+}
+
+// transmit carries a host transmission onto the medium, to receivers
+// nbs.
+func (e *Engine) transmit(h *host, pkt []byte, nbs []int32) {
 	e.m.tx.Inc()
 	e.m.txBytes.Add(uint64(len(pkt)))
 	h.meter.ChargeTx(e.cfg.Energy, len(pkt))
 	// The transmission itself completes even if it drains the battery;
 	// the node is dead afterwards.
-	h.sh.deliverFrom(h, h.id, pkt)
+	h.sh.deliver(h, h.id, pkt, nbs)
 	e.checkBattery(h)
 }
 
@@ -739,7 +756,7 @@ func (h *host) Broadcast(pkt []byte) {
 	if !h.alive {
 		return
 	}
-	h.eng.broadcast(h, pkt)
+	h.eng.transmit(h, pkt, h.eng.cfg.Graph.Neighbors(h.idx))
 }
 
 // SetTimer implements node.Context.

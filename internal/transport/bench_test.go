@@ -45,11 +45,12 @@ func BenchmarkLabARQ(b *testing.B) {
 		for j := range behaviors {
 			behaviors[j] = &chatter{period: 100 * time.Millisecond}
 		}
+		loss := xrand.New(uint64(i) + 1).Split(2)
 		lab, err := NewLab(LabConfig{
 			Graph:     graph,
 			Seed:      uint64(i) + 1,
 			Transport: Config{ARQ: true, AckDelay: 5 * time.Millisecond},
-			Loss:      0.03,
+			Drop:      func(time.Duration, int, int) bool { return loss.Bool(0.03) },
 		}, behaviors)
 		if err != nil {
 			b.Fatal(err)

@@ -220,35 +220,39 @@ func TestAckCoalescingEpochChangeFlushes(t *testing.T) {
 	}
 }
 
-// TestAckCoalescingDisabledIsByteIdentical: with AckDelay zero the
-// endpoint must emit exactly the classic per-frame KindAck stream — no
-// batches, same bytes.
-func TestAckCoalescingDisabledIsByteIdentical(t *testing.T) {
-	run := func(cfg Config) []Frame {
-		out := &sink{}
-		e := NewEndpoint(cfg, 1, xrand.New(18), out.send, func(int, []byte) {})
-		for seq := uint32(1); seq <= 5; seq++ {
-			e.HandleRaw(dataFrom(0, 2, seq, "d"), 0)
+// TestAckDelayZeroAcksEachFrameAtOnce: with AckDelay zero every
+// inbound data frame is acked inside its own HandleRaw, before any
+// Tick, by one KindAck that echoes its epoch and seq, in arrival order;
+// nothing is left pending and no KindAckBatch is ever sent.
+func TestAckDelayZeroAcksEachFrameAtOnce(t *testing.T) {
+	cfg := testCfg()
+	cfg.AckDelay = 0
+	out := &sink{}
+	var dests []int
+	send := func(to int, raw []byte) {
+		dests = append(dests, to)
+		out.send(to, raw)
+	}
+	e := NewEndpoint(cfg, 1, xrand.New(18), send, func(int, []byte) {})
+	const peer, epoch = 0, 2
+	for seq := uint32(1); seq <= 5; seq++ {
+		e.HandleRaw(dataFrom(peer, epoch, seq, "d"), time.Duration(seq)*time.Millisecond)
+		if len(out.frames) != int(seq) {
+			t.Fatalf("after data seq %d: %d frames sent, want %d (one ack per frame, at once)", seq, len(out.frames), seq)
 		}
-		e.Tick(time.Hour)
-		return out.frames
-	}
-	plain := run(testCfg())
-	zeroDelay := testCfg()
-	zeroDelay.AckDelay = 0
-	again := run(zeroDelay)
-	if len(plain) != len(again) {
-		t.Fatalf("frame counts differ: %d vs %d", len(plain), len(again))
-	}
-	for i := range plain {
-		a, b := plain[i], again[i]
-		if a.Kind != b.Kind || a.From != b.From || a.Epoch != b.Epoch || a.Seq != b.Seq {
-			t.Fatalf("frame %d differs: %+v vs %+v", i, a, b)
+		a := out.last()
+		if a.Kind != KindAck || a.From != 1 || a.Epoch != epoch || a.Seq != seq || dests[len(dests)-1] != peer {
+			t.Fatalf("after data seq %d: sent %+v to %d, want KindAck from 1 epoch %d seq %d to %d",
+				seq, a, dests[len(dests)-1], epoch, seq, peer)
+		}
+		if w, ok := e.NextWake(); ok {
+			t.Fatalf("after data seq %d: wake at %v with nothing to retransmit or flush", seq, w)
 		}
 	}
-	if countKind(plain, KindAck) != 5 || countKind(plain, KindAckBatch) != 0 {
-		t.Fatalf("classic path emitted %d acks and %d batches, want 5 and 0",
-			countKind(plain, KindAck), countKind(plain, KindAckBatch))
+	e.Tick(time.Hour)
+	if len(out.frames) != 5 || countKind(out.frames, KindAckBatch) != 0 {
+		t.Fatalf("Tick sent %d more frames (%d batches); every ack was already out",
+			len(out.frames)-5, countKind(out.frames, KindAckBatch))
 	}
 }
 

@@ -12,17 +12,36 @@ import (
 	"repro/internal/geom"
 	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/xrand"
 )
 
 // labGoldenHashes pin the lab's schedule byte for byte, with coalesced
-// and with per-frame acks. They were recorded before the retransmit
-// state and the event heap were rewritten; any change to event order,
-// jitter draws or retransmit timing moves them.
+// and with per-frame acks. They were recorded when the Lab moved onto
+// the simulation engine, whose per-sender medium streams and
+// (at, src, seq) event order replaced the Lab's own global medium
+// stream and insertion order; any change to event order, jitter draws
+// or retransmit timing moves them.
 var labGoldenHashes = map[time.Duration]string{
-	5 * time.Millisecond: "91d3a5759209a7a93f7dc561c8d2d4afa24c7aa29f758cdc29441c688f1e7d98",
-	0:                    "6cfd7615839423406aeff728e95d9e4b21f6e6ea77763349b43e2881d3ff173b",
+	5 * time.Millisecond: "b81dee39a4921c22461378e50a006c12ef1cd284f8c13bc5856356f82479023b",
+	0:                    "3adc22eec8d6666e9fccee72a3a560ccf0d5616637701de03123846c91f77e77",
+}
+
+// coreNodes provisions n core nodes from auth, the base station at
+// node 0, and returns them with the same nodes as behaviors.
+func coreNodes(cfg core.Config, auth *core.Authority, n int) ([]*core.Sensor, []node.Behavior) {
+	sensors := make([]*core.Sensor, n)
+	behaviors := make([]node.Behavior, n)
+	for i := range sensors {
+		if m := auth.MaterialFor(node.ID(i)); i == 0 {
+			sensors[i] = core.NewBaseStation(cfg, m, auth)
+		} else {
+			sensors[i] = core.NewSensor(cfg, m)
+		}
+		behaviors[i] = sensors[i]
+	}
+	return sensors, behaviors
 }
 
 // goldenLab runs the full protocol on a fixed-seed 120-node lab with ARQ
@@ -49,18 +68,7 @@ func goldenLab(t testing.TB, ackDelay time.Duration) (string, Metrics) {
 	cfg := core.DefaultConfig()
 	cfg.OperationalAt = cfg.ClusterPhaseEnd + cfg.LinkSpread + 50*time.Millisecond
 	cfg.DataRetries = 2
-	auth := core.AuthorityFromSeed(seed, cfg.ChainLength)
-	sensors := make([]*core.Sensor, n)
-	behaviors := make([]node.Behavior, n)
-	for i := range sensors {
-		m := auth.MaterialFor(node.ID(i))
-		if i == 0 {
-			sensors[i] = core.NewBaseStation(cfg, m, auth)
-		} else {
-			sensors[i] = core.NewSensor(cfg, m)
-		}
-		behaviors[i] = sensors[i]
-	}
+	sensors, behaviors := coreNodes(cfg, core.AuthorityFromSeed(seed, cfg.ChainLength), n)
 	plan := &faults.Plan{Events: []faults.Event{{
 		Kind: faults.KindBurst, At: dataAt, Until: horizon,
 		PGB: 0.03, PBG: 0.25, LossGood: 0, LossBad: 0.6,
@@ -138,5 +146,77 @@ func TestLabGoldenSchedule(t *testing.T) {
 				t.Fatalf("lab schedule hash %s, want %s", got, want)
 			}
 		})
+	}
+}
+
+// TestBareLabIsTheEngine requires a Lab without a transport to be the
+// simulation engine itself: the same seeded 60-node core deployment on
+// NewLab and on sim.New, with the same readings sent after set-up, must
+// give the identical base-station delivery sequence and the identical
+// hop and cluster at every node.
+func TestBareLabIsTheEngine(t *testing.T) {
+	const (
+		n       = 60
+		seed    = 31
+		dataAt  = 2 * time.Second
+		horizon = 4 * time.Second
+	)
+	graph, err := topology.Generate(xrand.New(seed), topology.Config{N: n, Density: 10, Metric: geom.Torus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.OperationalAt = cfg.ClusterPhaseEnd + cfg.LinkSpread + 50*time.Millisecond
+	auth := core.AuthorityFromSeed(seed, cfg.ChainLength)
+	// outcome is the base station's delivery log and each node's
+	// gradient height and cluster, one line each.
+	outcome := func(sensors []*core.Sensor) []string {
+		var out []string
+		for _, d := range sensors[0].Deliveries() {
+			out = append(out, fmt.Sprintf("delivery at=%d origin=%d seq=%d data=%q", d.At, d.Origin, d.Seq, d.Data))
+		}
+		for i, s := range sensors {
+			cid, ok := s.Cluster()
+			out = append(out, fmt.Sprintf("node %d hop=%d cluster=%d/%v", i, s.Hop(), cid, ok))
+		}
+		return out
+	}
+	schedule := func(do func(at time.Duration, i int, fn func(node.Context)), sensors []*core.Sensor) {
+		for k := 0; k < 40; k++ {
+			src, data := 1+(k*7)%(n-1), []byte(fmt.Sprintf("r%02d", k))
+			do(dataAt+time.Duration(k)*20*time.Millisecond, src, func(ctx node.Context) {
+				sensors[src].SendReading(ctx, data)
+			})
+		}
+	}
+
+	engSensors, engBehaviors := coreNodes(cfg, auth, n)
+	eng, err := sim.New(sim.Config{Graph: graph, Seed: seed}, engBehaviors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Boot(0)
+	schedule(eng.Do, engSensors)
+	eng.Run(horizon)
+
+	labSensors, labBehaviors := coreNodes(cfg, auth, n)
+	lab, err := NewLab(LabConfig{Graph: graph, Seed: seed}, labBehaviors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedule(lab.Do, labSensors)
+	lab.Run(horizon)
+
+	want, got := outcome(engSensors), outcome(labSensors)
+	if len(engSensors[0].Deliveries()) == 0 {
+		t.Fatal("the engine run delivered no reading; the comparison would be empty")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("lab outcome has %d lines, engine %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("lab and engine diverge at line %d:\nengine %s\nlab    %s", i, want[i], got[i])
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/topology"
+	"repro/internal/xrand"
 )
 
 // collector records delivered payloads; it is a pure sink behavior.
@@ -193,11 +194,12 @@ func TestLabDeterminism(t *testing.T) {
 		reg := obs.NewRegistry()
 		m := NewMetrics(reg)
 		sinkB := &collector{}
+		loss := xrand.New(4242).Split(2)
 		lab, err := NewLab(LabConfig{
 			Graph:     lineGraph(3),
 			Seed:      4242,
 			Transport: Config{ARQ: true},
-			Loss:      0.4,
+			Drop:      func(time.Duration, int, int) bool { return loss.Bool(0.4) },
 			Metrics:   m,
 		}, []node.Behavior{sinkB, idle{}, idle{}})
 		if err != nil {
