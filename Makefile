@@ -16,8 +16,11 @@ test:
 # The deterministic runner's contract includes being race-detector-clean
 # at any worker count; the equivalence harness pins Workers=4 so this
 # exercises real goroutine interleaving even on a single-CPU machine.
+# The second pass races the sim's cross-shard record hand-off at
+# GOMAXPROCS 1 and 4.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=1 -cpu 1,4 -run 'ShardMerge|Arrival|Immutability|Pool|SendTo|FaultPlan' ./internal/sim/
 
 # bench runs the paper's benchmark harness (bench_test.go, one
 # benchmark per figure/claim) and archives the result twice: the raw

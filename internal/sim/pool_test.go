@@ -187,7 +187,7 @@ func TestDieAndBatteryDeathShareBookkeeping(t *testing.T) {
 		t.Fatal("Engine.Kill counted as an energy death")
 	}
 	// kill is idempotent: a dead node cannot die twice.
-	eng.kill(eng.hosts[1])
+	eng.kill(&eng.hosts[1])
 	if eng.m.deaths.Value() != before {
 		t.Fatal("double death double-counted")
 	}

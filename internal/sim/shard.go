@@ -5,10 +5,12 @@
 //
 // The node set is partitioned into S = max(Config.Shards, 1) shards
 // (spatial stripes when the caller supplies Config.ShardOf; contiguous
-// index ranges otherwise). Each shard owns a private event heap, packet
-// arena, event free-list, and fault-injector replica. At S = 1 the one
-// shard runs inline on the calling goroutine; at S > 1 each shard
-// advances on its own goroutine. Either way the run proceeds in
+// index ranges otherwise). Each shard owns two heaps — host-lane events
+// (starts, timers, crashes, reboots, ends of airtime) and transmission
+// records — plus a packet arena, event free-list, record slab, and
+// fault-injector replica. At S = 1 the one shard runs inline on the
+// calling goroutine; at S > 1 each shard advances on its own
+// goroutine. Either way the run proceeds in
 // conservative synchronous epochs. The epoch width is the lookahead
 // L = PropDelay: every radio delivery — the only cross-shard interaction
 // — arrives at least L after its transmission, so if M is the globally
@@ -20,13 +22,31 @@
 // buffered user callbacks. The epoch limits depend only on the pending
 // event set, never on S.
 //
+// # Transmission records
+//
+// A transmission does not queue one event per receiver. deliver draws
+// every receiver's loss and jitter variates, then writes one record per
+// receiving shard: the sender lane, the transmission time, one copy of
+// the packet, and that shard's receivers sorted by (at, seq), each with
+// its lane sequence and Config.Loss verdict. The sender's own shard
+// pushes its record on its record heap, keyed by the first arrival;
+// records for other shards go to the outboxes and are pushed at the
+// barrier. The shard loop dispatches whichever heap's key is smaller.
+// Dispatching an arrival advances its record and re-keys it to the next
+// arrival (or frees it after the last) before any callback runs, then
+// hands the receiver a private arena copy of the packet. Each arrival
+// keeps the key it would have as an event of its own, so the dispatch
+// order is the canonical one, and it still counts as one event in Run,
+// Pending and sim_events_total. Receivers are grouped by shard through
+// Engine.shardOf, so deliver never loads a receiver's host.
+//
 // # The shard-count-invariance contract
 //
 // The engine is byte-identical across every shard count and every shard
 // assignment. Three mechanisms make the contract hold:
 //
-//  1. Canonical event order. Every shard event carries the key
-//     (at, src, seq) where src is the graph index of the host whose
+//  1. Canonical event order. Every shard event and arrival carries the
+//     key (at, src, seq) where src is the graph index of the host whose
 //     lane produced it and seq is that host's private lane counter
 //     (host.lseq). Lane counters are only ever advanced by the owning
 //     goroutine, so keys are a pure function of protocol execution, not
@@ -70,7 +90,7 @@ import (
 
 const maxTime = time.Duration(math.MaxInt64)
 
-// shard owns one partition of the node set: its event heap, clock, and
+// shard owns one partition of the node set: its heaps, clock, and
 // recycling pools. Fields are only touched by the shard's goroutine
 // during an epoch, or by the coordinator while all shards sit at a
 // barrier — never both at once.
@@ -80,9 +100,20 @@ type shard struct {
 	now   time.Duration
 	queue eventQueue
 
-	// out[k] buffers deliveries addressed to shard k; the coordinator
+	// recs is the slab of transmission records with arrivals here, recq
+	// their heap keyed by next arrival, and freeRecs the free slots.
+	recs     []txRecord
+	recq     recordQueue
+	freeRecs []int32
+
+	// out[k] buffers records addressed to shard k; the coordinator
 	// drains every outbox into the target heaps at the epoch barrier.
-	out [][]*event
+	out [][]txRecord
+	// open lists the records deliver is filling, one per receiving
+	// shard, and is empty between transmissions; openSlot is the slab
+	// slot of this shard's own.
+	open     []openRec
+	openSlot int32
 
 	// cbs buffers death and crash callbacks, txs the trace records of
 	// this epoch's transmissions, for canonical-order replay on the
@@ -159,8 +190,46 @@ func cmpTrace(a, b *txTrace) int {
 	return cmp.Compare(a.seq, b.seq)
 }
 
+// txRecord is one transmission's arrivals at one shard. rcvs is sorted
+// by (at, seq) and next indexes the arrival to dispatch next, so the
+// record's heap key is (rcvs[next].at, src, rcvs[next].seq).
+type txRecord struct {
+	txAt time.Duration
+	src  int32
+	next int32
+	from node.ID
+	pkt  []byte
+	rcvs []arrival
+	// tr, with a Trace hook and a fault plan both set, is the trace
+	// record the receivers' fault verdicts land in. Every receiver then
+	// ships, numbered tr.seq+1, tr.seq+2, ... in neighbor order, so an
+	// arrival's trace slot is seq-tr.seq-1.
+	tr *txTrace
+}
+
+// arrival is one receiver's delivery in a transmission record.
+type arrival struct {
+	at  time.Duration
+	seq uint64
+	to  int32
+	// lost is the sender-side Config.Loss verdict; a lost arrival ships
+	// only under a fault plan, whose chains advance on every arrival.
+	lost bool
+}
+
+// openRec is a record of the transmission deliver is writing and the
+// shard it is for.
+type openRec struct {
+	d int32
+	r *txRecord
+}
+
 func newShard(e *Engine, id int) *shard {
-	s := &shard{eng: e, id: id, out: make([][]*event, len(e.shards))}
+	s := &shard{
+		eng: e,
+		id:  id,
+		out: make([][]txRecord, len(e.shards)),
+	}
 	s.free.disabled = e.cfg.DisablePooling
 	s.pkts.disabled = e.cfg.DisablePooling
 	s.pkts.poison = e.cfg.PoisonRecycled
@@ -212,17 +281,37 @@ func (s *shard) pushHostEvent(at time.Duration, h *host, kind eventKind) *event 
 	return ev
 }
 
-// runEpoch processes every pending event strictly before limit. It runs
-// on the shard's goroutine, or inline when S == 1.
+// runEpoch processes every pending event and arrival strictly before
+// limit, merging the two heaps by key. It runs on the shard's goroutine,
+// or inline when S == 1.
 func (s *shard) runEpoch(limit time.Duration) {
 	n := 0
-	for len(s.queue) > 0 && s.queue[0].at < limit {
-		ev := s.queue.pop()
-		s.now = ev.at
-		s.dispatch(ev)
+	for {
+		if len(s.recq) > 0 && s.recq[0].at < limit &&
+			(len(s.queue) == 0 || s.recq[0].before(s.queue[0].key)) {
+			s.arrive()
+		} else if len(s.queue) > 0 && s.queue[0].at < limit {
+			ev := s.queue.pop()
+			s.now = ev.at
+			s.dispatch(ev)
+		} else {
+			break
+		}
 		n++
 	}
 	s.processed += n
+}
+
+// next returns the time of the shard's earliest event or arrival.
+func (s *shard) next() time.Duration {
+	t := maxTime
+	if len(s.queue) > 0 {
+		t = s.queue[0].at
+	}
+	if len(s.recq) > 0 {
+		t = min(t, s.recq[0].at)
+	}
+	return t
 }
 
 func (s *shard) dispatch(ev *event) {
@@ -231,8 +320,6 @@ func (s *shard) dispatch(ev *event) {
 		if ev.h.alive {
 			ev.h.behavior.Start(ev.h)
 		}
-	case evArrive:
-		s.runArrive(ev)
 	case evRxEnd:
 		s.runRxEnd(ev.h, ev.from, ev.pkt, ev.rx)
 	case evTimer:
@@ -246,17 +333,17 @@ func (s *shard) dispatch(ev *event) {
 }
 
 // deliver carries one transmission from h's radio position to the
-// receivers nbs. Each receiver gets a private arena copy, so neither the
-// sender's later reuse of its buffer nor another receiver's in-place
-// mutation can corrupt a delivery — the same isolation a real radio
-// provides; the copy returns to the arena when Receive returns.
+// receivers nbs, writing one transmission record per receiving shard.
+// Each record holds one copy of pkt, so the sender's later reuse of its
+// buffer cannot corrupt a delivery.
 //
 // The sender's private medium stream supplies exactly two variates
 // (loss, jitter) per receiver in order, lost or not, so loss outcomes
-// never shift later draws. In-shard receivers get heap events directly,
-// out-of-shard receivers get outbox entries. A packet lost to
-// Config.Loss still ships when a fault plan is set, because fault chains
-// advance on every arrival.
+// never shift later draws. Each shipped arrival takes the next sequence
+// on the sender's lane, in neighbor order; sorting a record's arrivals by
+// (at, seq) then gives the canonical order. A packet lost to Config.Loss
+// still ships when a fault plan is set, because fault chains advance on
+// every arrival.
 func (s *shard) deliver(h *host, from node.ID, pkt []byte, nbs []int32) {
 	e := s.eng
 	txAt := s.now
@@ -265,9 +352,12 @@ func (s *shard) deliver(h *host, from node.ID, pkt []byte, nbs []int32) {
 	if s.inj != nil && jit > 0 {
 		jit = time.Duration(float64(jit) * s.inj.JitterScale(txAt))
 	}
-	var tr *txTrace
+	var tr, rtr *txTrace
 	if e.cfg.Trace != nil {
 		tr = s.newTrace(h, from, pkt, nbs)
+		if s.inj != nil {
+			rtr = tr
+		}
 	}
 	for k, nb := range nbs {
 		lost := e.cfg.Loss > 0 && med.Bool(e.cfg.Loss)
@@ -284,29 +374,92 @@ func (s *shard) deliver(h *host, from node.ID, pkt []byte, nbs []int32) {
 				continue
 			}
 		}
-		copied := s.pkts.get(len(pkt))
-		copy(copied, pkt)
 		h.lseq++
-		ev := s.free.get()
-		ev.at = txAt + delay
-		ev.src = int32(h.idx)
-		ev.seq = h.lseq
-		ev.kind = evArrive
-		rcv := e.hosts[nb]
-		ev.h = rcv
-		ev.from = from
-		ev.pkt = copied
-		ev.txAt = txAt
-		ev.lossLost = lost
-		if tr != nil && s.inj != nil {
-			ev.tr = tr
-			tr.last = max(tr.last, ev.at)
+		at := txAt + delay
+		if rtr != nil {
+			rtr.last = max(rtr.last, at)
 		}
-		if dst := rcv.sh; dst != s {
-			s.out[dst.id] = append(s.out[dst.id], ev)
-			continue
+		d := e.shardOf[nb]
+		var r *txRecord
+		for _, o := range s.open {
+			if o.d == d {
+				r = o.r
+				break
+			}
 		}
-		s.queue.push(ev)
+		if r == nil {
+			r = s.openRecord(int(d))
+			r.txAt, r.src, r.next, r.from, r.tr = txAt, int32(h.idx), 0, from, rtr
+			r.pkt = append(r.pkt[:0], pkt...)
+			r.rcvs = r.rcvs[:0]
+			s.open = append(s.open, openRec{d, r})
+		}
+		r.rcvs = append(r.rcvs, arrival{at: at, seq: h.lseq, to: nb, lost: lost})
+	}
+	for i, o := range s.open {
+		s.open[i] = openRec{}
+		sortArrivals(o.r.rcvs)
+		if int(o.d) == s.id {
+			a := &o.r.rcvs[0]
+			s.recq.push(a.at, laneKey(o.r.src, a.seq), s.openSlot)
+		}
+	}
+	s.open = s.open[:0]
+}
+
+// openRecord starts the record of the current transmission for shard d:
+// a slab slot for the shard's own, an outbox entry for any other.
+func (s *shard) openRecord(d int) *txRecord {
+	if d == s.id {
+		s.openSlot = s.allocRecord()
+		return &s.recs[s.openSlot]
+	}
+	o := s.out[d]
+	if len(o) < cap(o) {
+		o = o[:len(o)+1]
+	} else {
+		o = append(o, txRecord{})
+	}
+	s.out[d] = o
+	return &o[len(o)-1]
+}
+
+// allocRecord returns a free slab slot, growing the slab if none is.
+func (s *shard) allocRecord() int32 {
+	if last := len(s.freeRecs) - 1; last >= 0 {
+		slot := s.freeRecs[last]
+		s.freeRecs = s.freeRecs[:last]
+		return slot
+	}
+	s.recs = append(s.recs, txRecord{})
+	return int32(len(s.recs) - 1)
+}
+
+// freeRecord returns a dispatched record's slot to the free list. The
+// slot keeps its packet and arrival buffers for the next record unless
+// pooling is off.
+func (s *shard) freeRecord(slot int32) {
+	r := &s.recs[slot]
+	r.tr = nil
+	if s.eng.cfg.DisablePooling {
+		r.pkt, r.rcvs = nil, nil
+	} else if s.pkts.poison {
+		poison(r.pkt)
+	}
+	s.freeRecs = append(s.freeRecs, slot)
+}
+
+// sortArrivals sorts a record's arrivals by (at, seq). They were
+// appended in seq order, so a stable insertion sort on at suffices; a
+// record holds about as many arrivals as a node has neighbors.
+func sortArrivals(a []arrival) {
+	for i := 1; i < len(a); i++ {
+		x := a[i]
+		j := i
+		for ; j > 0 && a[j-1].at > x.at; j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = x
 	}
 }
 
@@ -341,44 +494,62 @@ func (s *shard) recycleTrace(tr *txTrace) {
 	s.freeTx = append(s.freeTx, tr)
 }
 
-// runArrive completes one delivery on the receiver's shard: the
-// fault-plan verdict is decided here, in canonical arrival order, then
-// the packet is dropped, handed to the collision model, or delivered.
-// Losses come first, so a lost packet never occupies the receiver's
-// radio and can never collide with another reception
-// (TestLossBeforeCollision*).
-func (s *shard) runArrive(ev *event) {
+// arrive dispatches the earliest record's next arrival on the
+// receiver's shard: the fault-plan verdict is decided here, in canonical
+// arrival order, then the packet is dropped, handed to the collision
+// model, or delivered. Losses come first, so a lost packet never
+// occupies the receiver's radio and can never collide with another
+// reception (TestLossBeforeCollision*). The record is advanced, and its
+// packet copied out, before any callback runs: a callback may transmit,
+// which may grow the slab or reuse the record's slot.
+func (s *shard) arrive() {
 	e := s.eng
-	rcv := ev.h
-	lost := ev.lossLost
-	if s.inj != nil && s.inj.Drop(ev.txAt, int(ev.src), rcv.idx) {
+	slot := s.recq[0].val
+	r := &s.recs[slot]
+	a := r.rcvs[r.next]
+	from := r.from
+	s.now = a.at
+	lost := a.lost
+	if s.inj != nil && s.inj.Drop(r.txAt, int(r.src), int(a.to)) {
 		lost = true
-		if tr := ev.tr; tr != nil {
-			tr.lost[ev.seq-tr.seq-1] = true
+		if tr := r.tr; tr != nil {
+			tr.lost[a.seq-tr.seq-1] = true
 		}
+	}
+	var pkt []byte
+	if !lost {
+		pkt = s.pkts.get(len(r.pkt))
+		copy(pkt, r.pkt)
+	}
+	if r.next++; int(r.next) < len(r.rcvs) {
+		nx := &r.rcvs[r.next]
+		s.recq.rekeyTop(nx.at, laneKey(r.src, nx.seq))
+	} else {
+		s.recq.pop()
+		s.freeRecord(slot)
 	}
 	if lost {
 		e.m.lost.Inc()
-		s.pkts.put(ev.pkt)
 		return
 	}
+	rcv := &e.hosts[a.to]
 	if e.cfg.Collisions {
-		// The reception starts now (the event's time already includes
+		// The reception starts now (the arrival time already includes
 		// the propagation delay); only the end of airtime needs a
 		// future event, keyed on the receiver's lane.
-		airtime := e.cfg.AirtimePerByte * time.Duration(len(ev.pkt))
+		airtime := e.cfg.AirtimePerByte * time.Duration(len(pkt))
 		if airtime <= 0 {
 			airtime = time.Microsecond
 		}
 		rx := &reception{endsAt: s.now + airtime}
 		s.rxBegin(rcv, rx)
 		end := s.pushHostEvent(s.now+airtime, rcv, evRxEnd)
-		end.from = ev.from
-		end.pkt = ev.pkt
+		end.from = from
+		end.pkt = pkt
 		end.rx = rx
 		return
 	}
-	s.receive(rcv, ev.from, ev.pkt)
+	s.receive(rcv, from, pkt)
 }
 
 // rxBegin implements the half-duplex collision model: the packet
@@ -480,11 +651,9 @@ func (e *Engine) run(until time.Duration, drainAll bool, maxEvents int) (int, er
 		if len(e.queue) > 0 {
 			gt = e.queue[0].at
 		}
-		st := maxTime // earliest shard event
+		st := maxTime // earliest shard event or arrival
 		for _, s := range e.shards {
-			if len(s.queue) > 0 {
-				st = min(st, s.queue[0].at)
-			}
+			st = min(st, s.next())
 		}
 		m := min(gt, st)
 		if m == maxTime || (!drainAll && m > until) {
@@ -594,22 +763,30 @@ func (w *workers) stop() {
 }
 
 // barrier runs on the coordinator with every shard parked and every
-// event before frontier done: it drains the outboxes into the target
-// heaps, then replays buffered callbacks. Heap order depends only on the
-// canonical keys, so the drain order does not matter.
+// event before frontier done: it moves the outboxes' records into the
+// target shards' slabs and record heaps, then replays buffered
+// callbacks. Heap order depends only on the canonical keys, so the drain
+// order does not matter. A record moves by swapping it with a free slab
+// slot, so its buffers change hands instead of being copied and the
+// outbox entry inherits the free slot's buffers for reuse.
 func (e *Engine) barrier(frontier time.Duration) {
 	for _, src := range e.shards {
-		for t, evs := range src.out {
-			if len(evs) == 0 {
+		for t, recs := range src.out {
+			if len(recs) == 0 {
 				continue
 			}
 			dst := e.shards[t]
-			for i, ev := range evs {
-				dst.queue.push(ev)
-				evs[i] = nil
+			n := 0
+			for i := range recs {
+				slot := dst.allocRecord()
+				dst.recs[slot], recs[i] = recs[i], dst.recs[slot]
+				r := &dst.recs[slot]
+				a := &r.rcvs[0]
+				dst.recq.push(a.at, laneKey(r.src, a.seq), slot)
+				n += len(r.rcvs)
 			}
-			e.m.xmsgs.Add(uint64(len(evs)))
-			src.out[t] = evs[:0]
+			e.m.xmsgs.Add(uint64(n))
+			src.out[t] = recs[:0]
 		}
 	}
 	e.flushCallbacks(frontier)

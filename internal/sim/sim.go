@@ -18,14 +18,20 @@
 //
 // # Buffer ownership
 //
-// The engine recycles both its event records and the per-receiver packet
-// copies it hands to Behavior.Receive. The contract is strict: a packet
-// slice passed to Receive (and the TraceEvent.Pkt slice passed to a Trace
-// hook) is owned by the engine and valid only until that callback returns;
-// code that needs the bytes longer must copy them. Config.PoisonRecycled
-// turns violations into loud test failures, and Config.DisablePooling
-// allocates fresh memory for every record instead — both produce
-// byte-identical runs for any behavior honoring the contract.
+// A transmission copies the sender's packet once, into a transmission
+// record on each receiving shard (see shard.go); the sender may reuse its
+// buffer as soon as Broadcast returns. Each arrival then copies the
+// record's packet into a private buffer from the shard's packet arena and
+// hands that to Behavior.Receive, so a receiver that mutates its packet
+// cannot corrupt another receiver's. The engine recycles its event
+// records, transmission records, trace records and packet buffers. The
+// contract is strict: a packet slice passed to Receive (and the
+// TraceEvent.Pkt slice passed to a Trace hook) is owned by the engine and
+// valid only until that callback returns; code that needs the bytes
+// longer must copy them. Config.PoisonRecycled turns violations into loud
+// test failures, and Config.DisablePooling allocates fresh memory for
+// every buffer instead — both produce byte-identical runs for any
+// behavior honoring the contract.
 package sim
 
 import (
@@ -101,8 +107,8 @@ type Config struct {
 	// protocol-visible branches, so enabling it never changes a run.
 	Obs *obs.Scope
 	// DisablePooling turns off the engine's event free-lists, packet
-	// arenas and trace-record reuse, making every delivery allocate fresh
-	// memory. Pooling is invisible to any behavior that honors the
+	// arenas and transmission- and trace-record buffer reuse, making
+	// every delivery allocate fresh memory. Pooling is invisible to any behavior that honors the
 	// buffer-ownership contract (see the package comment), so this
 	// switch exists as the reference the pool-equivalence tests pin
 	// pooled runs against, and as a debugging escape hatch.
@@ -151,17 +157,27 @@ type TraceEvent struct {
 // use; the goroutine runtime lives in internal/live.
 //
 // Events live on lanes. Each host's lane holds its starts, timers,
-// deliveries it sent, crashes and reboots, on the owning shard's heap;
-// the coordinator lane holds Schedule/Do closures, which run between
-// epochs and before shard events at equal times. See shard.go.
+// crashes, reboots and ends of airtime on the owning shard's event heap,
+// and the arrivals of the transmissions it sent in transmission records
+// on each receiving shard's record heap; the coordinator lane holds
+// Schedule/Do closures, which run between epochs and before shard events
+// at equal times. See shard.go.
 type Engine struct {
 	cfg   Config
 	now   time.Duration
 	seq   uint64     // coordinator lane sequence
 	queue eventQueue // coordinator lane
 	free  evPool     // coordinator event records
-	hosts []*host
 	m     simMetrics
+
+	// hosts is one slab, never resized after New, so a host's address
+	// (its node.Context) is stable and an arrival reaches its receiver
+	// with one load.
+	hosts []host
+
+	// shardOf is each node's shard, read by deliver to group a
+	// transmission's receivers without touching their hosts.
+	shardOf []int32
 
 	// keys is the keyed-sealer table every host shares, across all
 	// shards.
@@ -230,15 +246,15 @@ const faultStream = uint64(1) << 40
 const mediumLaneBase = uint64(1) << 41
 
 // eventKind discriminates the engine's typed events. The hot-path kinds
-// (delivery, timer, end of airtime) carry their operands in the event
-// record itself instead of a freshly allocated closure, which is what
-// lets the free-lists make the event loop allocation-free.
+// (timer, end of airtime) carry their operands in the event record itself
+// instead of a freshly allocated closure, which is what lets the
+// free-lists make the event loop allocation-free. Arrivals are not
+// events: they are dispatched from transmission records (see shard.go).
 type eventKind uint8
 
 const (
 	evFunc   eventKind = iota // coordinator closure (Schedule, Do)
 	evStart                   // behavior Start on h at boot time
-	evArrive                  // delivery: fault drop decided receiver-side at arrival
 	evRxEnd                   // collision model: airtime over, deliver if intact
 	evTimer                   // behavior timer tid on h
 	evCrash                   // fault-plan crash of h
@@ -260,13 +276,6 @@ type event struct {
 	tid  node.TimerID
 	pkt  []byte
 	rx   *reception
-
-	// evArrive payload: the transmission time and sender-side
-	// Config.Loss verdict, and — when a trace hook and a fault plan are
-	// both set — the trace record the receiver's fault verdict lands in.
-	lossLost bool
-	txAt     time.Duration
-	tr       *txTrace
 }
 
 // evPool is an event free-list: every dispatched event returns here and
@@ -287,17 +296,20 @@ func (p *evPool) get() *event {
 	return &event{}
 }
 
+// put recycles ev. Only the pointer fields are cleared, so the pool
+// retains nothing; every push sets the key and the operands its kind
+// reads.
 func (p *evPool) put(ev *event) {
 	if p.disabled {
 		return
 	}
-	*ev = event{}
+	ev.h, ev.fn, ev.pkt, ev.rx = nil, nil, nil, nil
 	p.free = append(p.free, ev)
 }
 
-// pktArena recycles the per-receiver packet copies deliver makes.
-// Buffers are handed to Behavior.Receive and reclaimed as soon as the
-// callback returns; see the package comment for the ownership contract.
+// pktArena recycles the per-arrival packet copies. Each is handed to
+// Behavior.Receive and reclaimed as soon as the callback returns; see
+// the package comment for the ownership contract.
 type pktArena struct {
 	free     [][]byte
 	disabled bool
@@ -439,7 +451,8 @@ func New(cfg Config, behaviors []node.Behavior) (*Engine, error) {
 	for k := range eng.shards {
 		eng.shards[k] = newShard(eng, k)
 	}
-	eng.hosts = make([]*host, n)
+	eng.hosts = make([]host, n)
+	eng.shardOf = make([]int32, n)
 	for i, b := range behaviors {
 		k := i * s / n
 		if cfg.ShardOf != nil {
@@ -448,7 +461,8 @@ func New(cfg Config, behaviors []node.Behavior) (*Engine, error) {
 				return nil, fmt.Errorf("sim: ShardOf[%d] = %d out of range [0,%d)", i, k, s)
 			}
 		}
-		eng.hosts[i] = &host{
+		eng.shardOf[i] = int32(k)
+		eng.hosts[i] = host{
 			eng:      eng,
 			id:       node.ID(i),
 			idx:      i,
@@ -483,7 +497,8 @@ func (e *Engine) Schedule(t time.Duration, fn func()) {
 // into engine events. Call once after New (t=0 for the initial
 // deployment); late-deployed nodes are booted individually with BootNode.
 func (e *Engine) Boot(t time.Duration) {
-	for _, h := range e.hosts {
+	for i := range e.hosts {
+		h := &e.hosts[i]
 		if h.alive && !h.started {
 			e.bootHost(h, t)
 		}
@@ -492,7 +507,7 @@ func (e *Engine) Boot(t time.Duration) {
 		for _, ev := range inj.CrashRebootEvents() {
 			// Crash/reboot land on the target's own lane so their order
 			// against the node's other events is canonical.
-			h := e.hosts[ev.Node]
+			h := &e.hosts[ev.Node]
 			kind := evCrash
 			if ev.Kind == faults.KindReboot {
 				kind = evReboot
@@ -507,7 +522,7 @@ func (e *Engine) Boot(t time.Duration) {
 // (Section IV-E) enter the network: the position was reserved in the
 // topology, the radio comes alive at t.
 func (e *Engine) BootNode(i int, b node.Behavior, t time.Duration) {
-	h := e.hosts[i]
+	h := &e.hosts[i]
 	h.behavior = b
 	h.alive = true
 	h.started = false
@@ -534,13 +549,20 @@ func (e *Engine) RunUntilIdle(maxEvents int) (int, error) {
 	return e.run(0, true, maxEvents)
 }
 
-// Pending returns the number of queued events.
+// Pending returns the number of queued events; each arrival still to
+// be dispatched counts as one.
 func (e *Engine) Pending() int {
 	n := len(e.queue)
 	for _, s := range e.shards {
 		n += len(s.queue)
+		for _, q := range s.recq {
+			r := &s.recs[q.val]
+			n += len(r.rcvs) - int(r.next)
+		}
 		for _, out := range s.out {
-			n += len(out)
+			for i := range out {
+				n += len(out[i].rcvs)
+			}
 		}
 	}
 	return n
@@ -574,7 +596,7 @@ func (e *Engine) Kill(i int) { e.hosts[i].alive = false }
 // from the coordinator lane (a Schedule closure) or between runs.
 func (e *Engine) Crash(i int) {
 	e.syncShardClocks()
-	h := e.hosts[i]
+	h := &e.hosts[i]
 	h.sh.crash(h)
 }
 
@@ -586,7 +608,7 @@ func (e *Engine) Crash(i int) {
 // between runs.
 func (e *Engine) Reboot(i int) {
 	e.syncShardClocks()
-	h := e.hosts[i]
+	h := &e.hosts[i]
 	h.sh.reboot(h)
 }
 
@@ -618,7 +640,7 @@ func locatorFor(g *topology.Graph) (float64, func(i int) (x, y float64)) {
 // issue a revocation) without breaking the single-threaded behavior
 // contract. fn is not invoked if the node is dead at t.
 func (e *Engine) Do(t time.Duration, i int, fn func(node.Context)) {
-	h := e.hosts[i]
+	h := &e.hosts[i]
 	e.Schedule(t, func() {
 		if h.alive {
 			fn(h)
@@ -634,7 +656,7 @@ func (e *Engine) Do(t time.Duration, i int, fn func(node.Context)) {
 // from there.
 func (e *Engine) InjectAt(at int, fakeFrom node.ID, pkt []byte) {
 	e.syncShardClocks()
-	h := e.hosts[at]
+	h := &e.hosts[at]
 	h.sh.deliver(h, fakeFrom, pkt, e.cfg.Graph.Neighbors(at))
 }
 
@@ -645,7 +667,7 @@ func (e *Engine) InjectAt(at int, fakeFrom node.ID, pkt []byte) {
 // sender's own callbacks or from the coordinator lane; to is normally a
 // graph neighbor of from, which the engine does not check.
 func (e *Engine) SendTo(from, to int, pkt []byte) {
-	h := e.hosts[from]
+	h := &e.hosts[from]
 	if !h.alive {
 		return
 	}

@@ -144,7 +144,7 @@ func TestTimersFireInOrder(t *testing.T) {
 	eng := newEngine(t, g, []node.Behavior{b}, Config{})
 	eng.Boot(0)
 	eng.Schedule(0, func() {
-		h := eng.hosts[0]
+		h := &eng.hosts[0]
 		h.SetTimer(30*time.Millisecond, 3)
 		h.SetTimer(10*time.Millisecond, 1)
 		h.SetTimer(20*time.Millisecond, 2)
@@ -163,7 +163,7 @@ func TestCancelTimer(t *testing.T) {
 	eng := newEngine(t, g, []node.Behavior{b}, Config{})
 	eng.Boot(0)
 	eng.Schedule(0, func() {
-		h := eng.hosts[0]
+		h := &eng.hosts[0]
 		tid := h.SetTimer(10*time.Millisecond, 1)
 		h.SetTimer(20*time.Millisecond, 2)
 		h.CancelTimer(tid)
@@ -407,6 +407,55 @@ func TestPacketImmutabilityAcrossReceivers(t *testing.T) {
 	}
 	if string(got) != "ok" {
 		t.Fatalf("observer saw %q; deliveries are not isolated", got)
+	}
+}
+
+// immutabilityRun is TestPacketImmutabilityAcrossReceivers's scenario
+// under cfg: node 0 sends "ok" to a mutator (node 2, first in neighbor
+// order) and an observer (node 1), scribbles over its buffer between
+// transmission and arrival, and returns what the observer saw.
+func immutabilityRun(t *testing.T, cfg Config) string {
+	t.Helper()
+	pos := []geom.Point{{X: 1, Y: 1}, {X: 1.5, Y: 1}, {X: 0.5, Y: 1}}
+	g := topology.FromPositions(pos, 4, 1.0, geom.Planar)
+	var got []byte
+	mutator := behaviorFuncs{
+		start:   func(node.Context) {},
+		receive: func(_ node.Context, _ node.ID, pkt []byte) { pkt[0] = 'X' },
+		timer:   func(node.Context, node.Tag) {},
+	}
+	observer := behaviorFuncs{
+		start:   func(node.Context) {},
+		receive: func(_ node.Context, _ node.ID, pkt []byte) { got = append([]byte(nil), pkt...) },
+		timer:   func(node.Context, node.Tag) {},
+	}
+	sender := &echo{sendOnStart: []byte("ok")}
+	cfg.Jitter = 1
+	eng := newEngine(t, g, []node.Behavior{sender, observer, mutator}, cfg)
+	eng.Boot(0)
+	eng.Schedule(time.Millisecond/2, func() { sender.sendOnStart[1] = 'Z' })
+	if _, err := eng.RunUntilIdle(100); err != nil {
+		t.Fatal(err)
+	}
+	return string(got)
+}
+
+// TestPacketImmutabilityAcrossReceiversCrossShard puts the mutator on
+// the sender's shard and the observer on the other one at S = 2, so the
+// two deliveries come from two transmission records on two goroutines.
+func TestPacketImmutabilityAcrossReceiversCrossShard(t *testing.T) {
+	if got := immutabilityRun(t, Config{Shards: 2, ShardOf: []int{0, 1, 0}}); got != "ok" {
+		t.Fatalf("observer saw %q; deliveries are not isolated across shards", got)
+	}
+}
+
+// TestPacketImmutabilityAcrossReceiversPoisoned recycles the mutator's
+// buffer under PoisonRecycled before the observer's arrival: the
+// observer's private copy, and the record it is copied from, must still
+// hold the packet.
+func TestPacketImmutabilityAcrossReceiversPoisoned(t *testing.T) {
+	if got := immutabilityRun(t, Config{PoisonRecycled: true}); got != "ok" {
+		t.Fatalf("observer saw %q; a recycled buffer leaked into a later delivery", got)
 	}
 }
 
