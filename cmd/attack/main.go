@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/adversary"
@@ -137,12 +138,14 @@ func crashScenario(n int, density float64, seed uint64) {
 	if err := d.RunSetup(); err != nil {
 		fail(err)
 	}
-	repairs := 0
+	// OnRepaired runs on the claimant's shard goroutine, so the count
+	// is shared across shards.
+	var repairs atomic.Int64
 	for i, s := range d.Sensors {
 		if s == nil || i == d.BSIndex {
 			continue
 		}
-		s.OnRepaired = func(uint32, node.ID, time.Duration) { repairs++ }
+		s.OnRepaired = func(uint32, node.ID, time.Duration) { repairs.Add(1) }
 	}
 	settled := crashBase + time.Duration(len(victims))*5*time.Millisecond + 2*time.Second
 	d.Eng.Run(settled)
@@ -161,7 +164,7 @@ func crashScenario(n int, density float64, seed uint64) {
 	got := len(d.Deliveries()) - before
 	fmt.Printf("%d nodes destroyed at t=%v: %d local repair elections; "+
 		"%d/%d survivor readings delivered (%.1f%%)\n\n",
-		len(victims), crashBase, repairs, got, sent, 100*float64(got)/float64(max(sent, 1)))
+		len(victims), crashBase, repairs.Load(), got, sent, 100*float64(got)/float64(max(sent, 1)))
 }
 
 // captureScenario compares link compromise after node capture across all

@@ -18,8 +18,9 @@
 // count (see docs/DETERMINISM.md).
 //
 // -shards S runs every trial's simulation on S shard goroutines (the
-// trial pool shrinks so -workers still bounds total concurrency). Like
-// -workers it never changes the output; see docs/SCALING.md. The scale
+// trial pool shrinks so -workers still bounds total concurrency);
+// -shards 0 picks S per deployment from its node count and GOMAXPROCS.
+// Like -workers it never changes the output; see docs/SCALING.md. The scale
 // step's ScaleSweep sizes come from -scale-sizes; reproducing the
 // 10^6-node run is
 //

@@ -54,6 +54,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -302,13 +303,15 @@ func main() {
 	}
 	fmt.Printf("cluster invariants: OK\n")
 
-	repairs := 0
+	// OnRepaired runs on the claimant's shard goroutine, so the count
+	// is shared across shards.
+	var repairs atomic.Int64
 	if *o.heal {
 		for i, s := range d.Sensors {
 			if s == nil || i == d.BSIndex {
 				continue
 			}
-			s.OnRepaired = func(uint32, node.ID, time.Duration) { repairs++ }
+			s.OnRepaired = func(uint32, node.ID, time.Duration) { repairs.Add(1) }
 		}
 	}
 
@@ -476,7 +479,7 @@ func main() {
 	}
 	if plan != nil || *o.heal {
 		fmt.Printf("\n-- faults --\n")
-		fmt.Printf("plan-scheduled crashes: %d, local repair elections: %d\n", crashes, repairs)
+		fmt.Printf("plan-scheduled crashes: %d, local repair elections: %d\n", crashes, repairs.Load())
 	}
 
 	if *o.mobility > 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/faults"
@@ -42,20 +43,28 @@ type DeployOptions struct {
 	// Battery, if positive, gives every node a finite energy budget in
 	// µJ; depleted nodes die (Section IV-E's motivation).
 	Battery float64
-	// OnDeath observes battery deaths.
+	// OnDeath observes battery deaths. Like OnCrash, Trace and OnMove it
+	// runs on the goroutine that calls the engine's Run, in canonical
+	// order, at every shard count: the engine buffers these callbacks
+	// per shard and replays them at epoch barriers (OnMove runs on the
+	// coordinator lane). They need no locking against each other or
+	// against the caller. The Sensor hooks are different; see
+	// Sensor.OnRepaired.
 	OnDeath func(i int, at time.Duration)
 	// BSIndex is the graph index hosting the base station (default 0).
 	BSIndex int
 	// ReserveLate reserves this many extra radio positions for nodes
 	// deployed later via AddLateNode; they are dark until booted.
 	ReserveLate int
-	// Trace, if set, observes every radio delivery.
+	// Trace, if set, observes every radio delivery, on the Run
+	// goroutine (see OnDeath).
 	Trace func(sim.TraceEvent)
 	// Faults, if set, is a deterministic fault-injection plan (crashes,
 	// reboots, loss bursts, partitions, jitter scaling) the engine
 	// executes during the run. See internal/faults.
 	Faults *faults.Plan
-	// OnCrash observes plan-scheduled crashes.
+	// OnCrash observes plan-scheduled crashes, on the Run goroutine
+	// (see OnDeath).
 	OnCrash func(i int, at time.Duration)
 	// Obs, if non-nil, instruments the whole deployment — engine, medium,
 	// fault injector, and every sensor — against the scope's registry.
@@ -70,11 +79,14 @@ type DeployOptions struct {
 	// PoisonRecycled overwrites recycled packet buffers with 0xDB (see
 	// sim.Config.PoisonRecycled) to surface illegal packet retention.
 	PoisonRecycled bool
-	// Shards is how many goroutines the simulation runs on (0 and 1
-	// both mean one, inline). Above 1, nodes are assigned to spatial
-	// stripes via topology.Graph.ShardStripes and each stripe's event
-	// heap advances on its own goroutine. Output is byte-identical at
-	// every value (see sim.Config.Shards and docs/SCALING.md).
+	// Shards is how many goroutines the simulation runs on. 0 picks the
+	// count from the deployment's size (N + ReserveLate) and GOMAXPROCS
+	// through sim.AutoShards, so a large deployment runs on several
+	// cores and a small one inline; 1 forces one inline shard. Above 1,
+	// nodes are assigned to spatial stripes via
+	// topology.Graph.ShardStripes and the stripes advance in parallel.
+	// Output is byte-identical at every value (see sim.Config.Shards and
+	// docs/SCALING.md); Eng.ShardCount reports the resolved count.
 	Shards int
 	// Mobility, if it enables any motion (mobility.Config.Enabled),
 	// attaches a seeded mobility controller driving the listed nodes
@@ -85,7 +97,8 @@ type DeployOptions struct {
 	// from the initial positions. The zero value keeps the run
 	// byte-identical to a mobility-free one.
 	Mobility mobility.Config
-	// OnMove, if set, observes every applied position update.
+	// OnMove, if set, observes every applied position update, on the
+	// Run goroutine (see OnDeath).
 	OnMove func(i int, at time.Duration, p geom.Point)
 }
 
@@ -164,14 +177,15 @@ func Deploy(opt DeployOptions) (*Deployment, error) {
 		}
 		behaviors[i] = sensors[i]
 	}
+	shards := sim.AutoShards(opt.Shards, total, runtime.GOMAXPROCS(0))
 	var shardOf []int
-	if opt.Shards > 1 {
-		shardOf = graph.ShardStripes(opt.Shards)
+	if shards > 1 {
+		shardOf = graph.ShardStripes(shards)
 	}
 	eng, err := sim.New(sim.Config{
 		Graph:      graph,
 		Seed:       opt.Seed,
-		Shards:     opt.Shards,
+		Shards:     shards,
 		ShardOf:    shardOf,
 		Loss:       opt.Loss,
 		Collisions: opt.Collisions,

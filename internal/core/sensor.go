@@ -227,6 +227,16 @@ type Sensor struct {
 
 	// OnRepaired, if set, observes this node winning a repair election
 	// (taking over headship of cid at the given time).
+	//
+	// OnRepaired, OnHandoff, Peek and the base station's OnDeliver run
+	// inside the node's own protocol handlers, on whatever goroutine
+	// the host runs the node on. On a deployment that resolved to more
+	// than one shard (DeployOptions.Shards) that is the goroutine of
+	// the node's shard, so hooks of nodes on different shards run
+	// concurrently with each other and with nothing else of the caller
+	// (which is blocked in Run). A hook that writes state shared across
+	// nodes must synchronize (an atomic counter) or write a slot of its
+	// own node's; one node's hooks never overlap each other.
 	OnRepaired func(cid uint32, newHead node.ID, at time.Duration)
 
 	// OnHandoff, if set, observes each completed cluster handoff: the

@@ -47,7 +47,7 @@ func ElectionDelay(o Options, meansMS []int, density float64) (*ElectionDelayRes
 	type electionObs struct {
 		singles, heads, size float64
 	}
-	obs, err := runner.Grid(o.pool(), len(meansMS), o.Trials,
+	obs, err := runner.Grid(o.pool(o.N), len(meansMS), o.Trials,
 		func(point, trial int) (electionObs, error) {
 			cfg := core.DefaultConfig()
 			cfg.HelloMeanDelay = time.Duration(meansMS[point]) * time.Millisecond
@@ -56,7 +56,7 @@ func ElectionDelay(o Options, meansMS []int, density float64) (*ElectionDelayRes
 			d, err := core.Deploy(core.DeployOptions{
 				N: o.N, Density: density, Config: cfg,
 				Seed:   xrand.TrialSeed(o.Seed, point, trial),
-				Shards: o.Shards,
+				Shards: o.shards(o.N),
 			})
 			if err != nil {
 				return electionObs{}, err
@@ -120,13 +120,13 @@ func RoutingAblation(o Options) (*RoutingAblationResult, error) {
 	type routingObs struct {
 		ratio, perReading float64
 	}
-	obs, err := runner.Map(o.pool(), len(policies), func(pi int) (routingObs, error) {
+	obs, err := runner.Map(o.pool(o.N), len(policies), func(pi int) (routingObs, error) {
 		cfg := core.DefaultConfig()
 		cfg.FloodForwarding = policies[pi]
 		rec := trace.New()
 		d, err := core.Deploy(core.DeployOptions{
 			N: o.N, Density: 12.5, Seed: o.Seed, Config: cfg, Trace: rec.Hook(),
-			Shards: o.Shards,
+			Shards: o.shards(o.N),
 		})
 		if err != nil {
 			return routingObs{}, err
@@ -190,14 +190,14 @@ func FreshWindow(o Options, windowsMS []int) (*FreshWindowResult, error) {
 		windowsMS = []int{1, 2, 5, 50, 250}
 	}
 	res := &FreshWindowResult{Delivery: stats.NewSeries("delivery"), N: o.N}
-	obs, err := runner.Grid(o.pool(), len(windowsMS), o.Trials,
+	obs, err := runner.Grid(o.pool(o.N), len(windowsMS), o.Trials,
 		func(point, trial int) (float64, error) {
 			cfg := core.DefaultConfig()
 			cfg.FreshWindow = time.Duration(windowsMS[point]) * time.Millisecond
 			d, err := core.Deploy(core.DeployOptions{
 				N: o.N, Density: 12.5, Config: cfg,
 				Seed:   xrand.TrialSeed(o.Seed, point, trial),
-				Shards: o.Shards,
+				Shards: o.shards(o.N),
 			})
 			if err != nil {
 				return 0, err
@@ -283,12 +283,12 @@ func MACAblation(o Options) (*MACAblationResult, error) {
 	}
 	// All three media share o.Seed on purpose: the comparison holds the
 	// topology fixed and varies only the collision model.
-	rows, err := runner.Map(o.pool(), len(configs), func(ci int) (MACRow, error) {
+	rows, err := runner.Map(o.pool(o.N), len(configs), func(ci int) (MACRow, error) {
 		c := configs[ci]
 		d, err := core.Deploy(core.DeployOptions{
 			N: o.N, Density: 12.5, Seed: o.Seed,
 			Collisions: c.collisions, Jitter: c.jitter,
-			Shards: o.Shards,
+			Shards: o.shards(o.N),
 		})
 		if err != nil {
 			return MACRow{}, err

@@ -131,7 +131,7 @@ func ARQBurst(o Options, lossBad []float64) (*ARQBurstResult, error) {
 		setupARQ, deliveryARQ   float64
 		setupBare, deliveryBare float64
 	}
-	obs, err := runner.Grid(o.pool(), len(lossBad), o.Trials,
+	obs, err := runner.Grid(runner.Workers(o.Workers), len(lossBad), o.Trials,
 		func(point, trial int) (arqObs, error) {
 			sa, da, err := arm(point, trial, true)
 			if err != nil {

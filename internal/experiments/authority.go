@@ -261,7 +261,7 @@ func AuthorityResilience(o Options, t, m int, captured []int) (*AuthorityResilie
 		return obs, nil
 	}
 
-	obs, err := runner.Grid(o.pool(), len(captured), o.Trials, trial)
+	obs, err := runner.Grid(runner.Workers(o.Workers), len(captured), o.Trials, trial)
 	if err != nil {
 		return nil, err
 	}

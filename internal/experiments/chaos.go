@@ -67,7 +67,7 @@ func CrashChurn(o Options, fracs []float64) (*CrashChurnResult, error) {
 		repaired     int
 		latencySumMS float64
 	}
-	obs, err := runner.Grid(o.pool(), len(fracs), o.Trials,
+	obs, err := runner.Grid(o.pool(o.N), len(fracs), o.Trials,
 		func(point, trial int) (churnObs, error) {
 			// Victim selection draws from its own stream so adding a
 			// crash axis never perturbs the deployment.
@@ -95,7 +95,7 @@ func CrashChurn(o Options, fracs []float64) (*CrashChurnResult, error) {
 				N: o.N, Density: 10, Config: cfg, Faults: plan,
 				Seed:   xrand.TrialSeed(o.Seed, point, trial),
 				Obs:    o.scope("crash-churn", point, trial),
-				Shards: o.Shards,
+				Shards: o.shards(o.N),
 			})
 			if err != nil {
 				return churnObs{}, err
@@ -241,7 +241,7 @@ func BurstLoss(o Options, lossBad []float64) (*BurstLossResult, error) {
 			N: o.N, Density: 10, Config: cfg, Faults: plan,
 			Seed:   xrand.TrialSeed(o.Seed, point, trial),
 			Obs:    o.scope("burst-loss", point, trial),
-			Shards: o.Shards,
+			Shards: o.shards(o.N),
 		})
 		if err != nil {
 			return 0, 0, err
@@ -281,7 +281,7 @@ func BurstLoss(o Options, lossBad []float64) (*BurstLossResult, error) {
 	type burstObs struct {
 		retry, bare, degraded float64
 	}
-	obs, err := runner.Grid(o.pool(), len(lossBad), o.Trials,
+	obs, err := runner.Grid(o.pool(o.N), len(lossBad), o.Trials,
 		func(point, trial int) (burstObs, error) {
 			withRetry, degraded, err := arm(point, trial, 2)
 			if err != nil {

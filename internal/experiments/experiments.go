@@ -11,12 +11,14 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
@@ -44,11 +46,13 @@ type Options struct {
 	// events carry per-trial labels). Results are byte-identical with or
 	// without it — see docs/DETERMINISM.md on the obs exclusion.
 	Obs *obs.Registry
-	// Shards is how many goroutines each trial's simulation runs on
-	// (0 and 1 both mean one, inline); the trial pool is sized with
-	// runner.NestedWorkers so Workers keeps bounding total concurrency.
-	// Like Workers it is a pure parallelism setting: output is
-	// byte-identical at every value (see docs/SCALING.md).
+	// Shards is how many goroutines each trial's simulation runs on: 0
+	// picks the count from each deployment's size and GOMAXPROCS
+	// (sim.AutoShards), 1 forces one inline shard. The trial pool is
+	// sized with runner.NestedWorkers on the resolved count, so Workers
+	// keeps bounding total concurrency. Like Workers it is a pure
+	// parallelism setting: output is byte-identical at every value (see
+	// docs/SCALING.md).
 	Shards int
 }
 
@@ -96,10 +100,17 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// pool resolves the trial pool's worker count. With a sharded engine
-// each trial runs o.Shards goroutines, so the outer pool shrinks to
-// keep Workers meaning total concurrency (runner.NestedWorkers).
-func (o Options) pool() int { return runner.NestedWorkers(o.Workers, o.Shards) }
+// shards resolves o.Shards for an n-node deployment on this machine.
+// Every deployment an experiment stands up passes the resolved count,
+// so it is the one the pool below was sized for.
+func (o Options) shards(n int) int { return sim.AutoShards(o.Shards, n, runtime.GOMAXPROCS(0)) }
+
+// pool resolves the trial pool's worker count for trials whose largest
+// deployment has n nodes. Each such trial runs o.shards(n) goroutines,
+// so the outer pool shrinks to keep Workers meaning total concurrency
+// (runner.NestedWorkers); AutoShards grows with n, so a smaller
+// deployment never runs more.
+func (o Options) pool(n int) int { return runner.NestedWorkers(o.Workers, o.shards(n)) }
 
 // Caps bounds an Options value for experiment families that are too
 // event-heavy (or too memory-heavy) to run at the full figure scale.
@@ -175,7 +186,7 @@ func deployTrial(o Options, density float64, point, trial int) (*core.Deployment
 		Density: density,
 		Seed:    xrand.TrialSeed(o.Seed, point, trial),
 		Obs:     o.scope("sweep", point, trial),
-		Shards:  o.Shards,
+		Shards:  o.shards(o.N),
 	})
 	if err != nil {
 		return nil, err
@@ -214,7 +225,7 @@ func DensitySweep(o Options, densities []float64) (*SweepResult, error) {
 	type sweepObs struct {
 		keys, size, heads, msgs float64
 	}
-	obs, err := runner.Grid(o.pool(), len(densities), o.Trials,
+	obs, err := runner.Grid(o.pool(o.N), len(densities), o.Trials,
 		func(point, trial int) (sweepObs, error) {
 			d, err := deployTrial(o, densities[point], point, trial)
 			if err != nil {
@@ -285,7 +296,7 @@ func Figure1(o Options, densities ...float64) (*Figure1Result, error) {
 	}
 	// Jobs return raw per-cluster sizes; histogram counts are insensitive
 	// to the (map-iteration) order they arrive in.
-	sizes, err := runner.Grid(o.pool(), len(densities), o.Trials,
+	sizes, err := runner.Grid(o.pool(o.N), len(densities), o.Trials,
 		func(point, trial int) ([]int, error) {
 			d, err := deployTrial(o, densities[point], point, trial)
 			if err != nil {

@@ -62,7 +62,7 @@ func Lifetime(o Options, battery float64, rounds int, withReplacements bool) (*L
 		N: o.N, Density: 12.5, Seed: o.Seed,
 		Battery:     battery,
 		ReserveLate: reserve,
-		Shards:      o.Shards,
+		Shards:      o.shards(o.N + reserve),
 		OnDeath: func(i int, at time.Duration) {
 			deaths++
 			if firstDeath == 0 {

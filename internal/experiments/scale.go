@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -53,10 +54,13 @@ type ScalePoint struct {
 	// Deterministic, but throughput context rather than figure data.
 	Events int `json:"events"`
 	// Wall and EventsPerSecCore measure this run's throughput (summed,
-	// respectively harmonic, across trials). Wall time is machine noise,
-	// so both stay out of the serialized result.
+	// respectively harmonic, across trials), and Shards is the shard
+	// count each trial ran on, which EventsPerSecCore divides by. All
+	// three depend on the machine, so they stay out of the serialized
+	// result.
 	Wall             time.Duration `json:"-"`
 	EventsPerSecCore float64       `json:"-"`
+	Shards           int           `json:"-"`
 }
 
 // MeanSize returns Figure 7's nodes-per-cluster mean.
@@ -95,9 +99,10 @@ type ScaleSweepResult struct {
 	Points []*ScalePoint `json:"points"`
 	// Density is the fixed density the sweep ran at.
 	Density float64 `json:"density"`
-	// Shards echoes the engine's parallelism setting (0 and 1 both run
-	// one shard inline). Excluded from JSON: the invariance contract is
-	// precisely that the serialized result does not depend on it.
+	// Shards is the shard count the largest size resolved to (smaller
+	// sizes may resolve to fewer; see ScalePoint.Shards). Excluded from
+	// JSON: the invariance contract is precisely that the serialized
+	// result does not depend on it.
 	Shards int `json:"-"`
 	// PeakRSSBytes is the process's resident-memory high-water mark
 	// (VmHWM) sampled when the sweep finishes — the number the ROADMAP's
@@ -124,9 +129,9 @@ func ScaleSweep(o Options, sizes []int, density float64) (*ScaleSweepResult, err
 	// One point at a time, trials fanned out on the nested pool: the
 	// per-trial accumulators are tiny, so merging per-point keeps peak
 	// memory at workers-many deployments, same as every other family.
-	res := &ScaleSweepResult{Density: density, Shards: o.Shards}
+	res := &ScaleSweepResult{Density: density, Shards: o.shards(slices.Max(sizes))}
 	for point, n := range sizes {
-		trials, err := runner.Map(o.pool(), o.Trials, func(trial int) (*ScalePoint, error) {
+		trials, err := runner.Map(o.pool(n), o.Trials, func(trial int) (*ScalePoint, error) {
 			return scaleTrial(o, n, density, point, trial)
 		})
 		if err != nil {
@@ -146,7 +151,7 @@ func scaleTrial(o Options, n int, density float64, point, trial int) (*ScalePoin
 		Density: density,
 		Seed:    xrand.TrialSeed(o.Seed, point, trial),
 		Obs:     o.scope("scale", point, trial),
-		Shards:  o.Shards,
+		Shards:  o.shards(n),
 	})
 	if err != nil {
 		return nil, err
@@ -164,6 +169,7 @@ func scaleTrial(o Options, n int, density float64, point, trial int) (*ScalePoin
 		SizeCounts: make([]int, scaleMaxHistSize+1),
 		Events:     events,
 		Wall:       wall,
+		Shards:     d.Eng.ShardCount(),
 	}
 	// Per-cluster member counts: O(clusters) scratch, freed on return.
 	// This is the one sub-linear-but-not-constant pass (Figure 1 needs
@@ -185,13 +191,7 @@ func scaleTrial(o Options, n int, density float64, point, trial int) (*ScalePoin
 		}
 		p.SizeCounts[size]++
 	}
-	cores := o.Shards
-	if cores < 1 {
-		cores = 1
-	}
-	if s := wall.Seconds(); s > 0 {
-		p.EventsPerSecCore = float64(events) / s / float64(cores)
-	}
+	p.EventsPerSecCore = p.perCore()
 	return p, nil
 }
 
@@ -214,11 +214,17 @@ func mergeScaleTrials(trials []*ScalePoint) *ScalePoint {
 		out.Events += t.Events
 		out.Wall += t.Wall
 	}
-	cores := 1.0
-	if s := out.Wall.Seconds(); s > 0 {
-		out.EventsPerSecCore = float64(out.Events) / s / cores
-	}
+	out.EventsPerSecCore = out.perCore()
 	return out
+}
+
+// perCore is the event rate per shard goroutine: events over wall time,
+// divided by the shard count the point ran on.
+func (p *ScalePoint) perCore() float64 {
+	if s := p.Wall.Seconds(); s > 0 {
+		return float64(p.Events) / s / float64(p.Shards)
+	}
+	return 0
 }
 
 // Table renders the sweep with the per-size figure curves plus the

@@ -177,7 +177,7 @@ func PrepareSoakLoad(o Options, model string, batch, point, trial int, load Soak
 		N: o.N, Density: 10, Config: cfg, Faults: plan,
 		Seed:   xrand.TrialSeed(o.Seed, point, trial),
 		Obs:    o.scope("soak-"+model, point, trial),
-		Shards: o.Shards,
+		Shards: o.shards(o.N),
 	})
 	if err != nil {
 		return nil, err
@@ -263,7 +263,7 @@ func Soak(o Options, models []string, batch int) (*SoakResult, error) {
 	type soakObs struct {
 		batch, off SoakTrialStats
 	}
-	obs, err := runner.Grid(o.pool(), len(models), o.Trials,
+	obs, err := runner.Grid(o.pool(o.N), len(models), o.Trials,
 		func(point, trial int) (soakObs, error) {
 			b, err := SoakTrial(o, models[point], batch, point, trial)
 			if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/adversary"
 	"repro/internal/baseline"
@@ -66,7 +67,7 @@ func Storage(o Options, sizes []int, density float64) (*StorageResult, error) {
 		name string
 		keys float64
 	}
-	obs, err := runner.Grid(o.pool(), len(sizes), o.Trials,
+	obs, err := runner.Grid(o.pool(slices.Max(sizes)), len(sizes), o.Trials,
 		func(point, trial int) ([]schemeObs, error) {
 			opt := o
 			opt.N = sizes[point]

@@ -9,9 +9,12 @@
 // (starts, timers, crashes, reboots, ends of airtime) and transmission
 // records — plus a packet arena, event free-list, record slab, and
 // fault-injector replica. At S = 1 the one shard runs inline on the
-// calling goroutine; at S > 1 each shard advances on its own
-// goroutine. Either way the run proceeds in
-// conservative synchronous epochs. The epoch width is the lookahead
+// calling goroutine. At S > 1 the coordinator runs the first shard with
+// work due in an epoch inline and offers every other such shard to S-1
+// worker goroutines, running any offer no worker has taken by the time
+// it is done; a shard with nothing due before the epoch limit is not
+// woken. Either way the run proceeds in conservative synchronous
+// epochs. The epoch width is the lookahead
 // L = PropDelay: every radio delivery — the only cross-shard interaction
 // — arrives at least L after its transmission, so if M is the globally
 // earliest pending event, no event before M+L can be influenced by a
@@ -80,6 +83,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faults"
@@ -89,6 +94,28 @@ import (
 )
 
 const maxTime = time.Duration(math.MaxInt64)
+
+// minNodesPerShard is the smallest stripe that AutoShards gives a shard
+// of its own. Below it, the per-epoch hand-offs and the barrier cost
+// more than the second core saves; docs/SCALING.md has the crossover
+// sweep it is read from.
+const minNodesPerShard = 1000
+
+// AutoShards resolves a shard setting for a deployment of n nodes on
+// procs usable cores (runtime.GOMAXPROCS(0) outside tests). A nonzero
+// setting is returned as given (New rejects a negative one); 0 resolves
+// to as many shards as the deployment can use:
+// min(procs, n/minNodesPerShard), at least 1.
+// Hosts whose behaviors are safe to run on several goroutines resolve
+// their setting here before sizing the engine and any pool around it,
+// so the shard count may depend on the machine while the output, by
+// the shard-count-invariance contract, does not.
+func AutoShards(shards, n, procs int) int {
+	if shards != 0 {
+		return shards
+	}
+	return max(1, min(procs, n/minNodesPerShard))
+}
 
 // shard owns one partition of the node set: its heaps, clock, and
 // recycling pools. Fields are only touched by the shard's goroutine
@@ -642,7 +669,7 @@ func (s *shard) reboot(h *host) {
 func (e *Engine) run(until time.Duration, drainAll bool, maxEvents int) (int, error) {
 	var w *workers
 	if len(e.shards) > 1 {
-		w = startWorkers(e.shards)
+		w = startWorkers(len(e.shards) - 1)
 		defer w.stop()
 	}
 	total := 0
@@ -682,7 +709,7 @@ func (e *Engine) run(until time.Duration, drainAll bool, maxEvents int) (int, er
 				}
 			}
 			if w != nil {
-				w.epoch(limit, e.m.stall)
+				w.epoch(e.shards, limit, e.m.stall)
 			} else {
 				e.shards[0].runEpoch(limit)
 			}
@@ -711,55 +738,132 @@ func (e *Engine) run(until time.Duration, drainAll bool, maxEvents int) (int, er
 	return total, nil
 }
 
-// workers runs each shard's epochs on a goroutine of its own, for the
-// length of one run.
+// workers runs shard epochs on goroutines of their own, for the length
+// of one run. They are not bound to shards: an epoch's shards go out as
+// jobs, and whichever of a worker and the coordinator claims a job first
+// runs it. The channel hand-off or the claim orders a shard's previous
+// epoch before its next.
 type workers struct {
-	starts []chan time.Duration
-	done   chan struct{}
+	jobs chan *job
+	done chan time.Time
+	due  []*shard
+	sent []*job
+	wg   sync.WaitGroup
 }
 
-func startWorkers(shards []*shard) *workers {
-	w := &workers{
-		starts: make([]chan time.Duration, len(shards)),
-		done:   make(chan struct{}, len(shards)),
-	}
-	for k, s := range shards {
-		start := make(chan time.Duration)
-		w.starts[k] = start
+// job is one shard's epoch. timed asks the worker to report when it
+// finished. A job is never reused: a worker that lost the claim may
+// still hold it.
+type job struct {
+	s       *shard
+	limit   time.Duration
+	timed   bool
+	claimed atomic.Bool
+}
+
+// startWorkers starts n workers. Both channels hold one epoch's worth
+// of sends, at most n: a full jobs buffer only means the coordinator
+// runs the offer itself.
+func startWorkers(n int) *workers {
+	w := &workers{jobs: make(chan *job, n), done: make(chan time.Time, n)}
+	w.wg.Add(n)
+	for range n {
 		go func() {
-			for limit := range start {
-				s.runEpoch(limit)
-				w.done <- struct{}{}
+			defer w.wg.Done()
+			for j := range w.jobs {
+				if !j.claimed.CompareAndSwap(false, true) {
+					continue
+				}
+				j.s.runEpoch(j.limit)
+				var fin time.Time
+				if j.timed {
+					fin = time.Now()
+				}
+				w.done <- fin
 			}
 		}()
 	}
 	return w
 }
 
-// epoch runs every shard up to limit and waits for all of them. stall,
-// if non-nil, observes the wall-clock spread between the first and the
-// last shard finishing.
-func (w *workers) epoch(limit time.Duration, stall *obs.Histogram) {
-	for _, c := range w.starts {
-		c <- limit
+// epoch runs every shard with work due before limit and waits for all of
+// them. The coordinator runs the first inline and offers the others to
+// the workers; when it is done it claims, and runs, every offer no
+// worker has taken yet, so a worker that is slow to wake costs no more
+// than running the shard serially. A shard with nothing due is not
+// woken, so an epoch with one busy shard makes no hand-off at all.
+// stall, if non-nil, observes the wall-clock spread between the first
+// and the last shard finishing; an idle shard finishes as the epoch
+// starts.
+func (w *workers) epoch(shards []*shard, limit time.Duration, stall *obs.Histogram) {
+	due := w.due[:0]
+	for _, s := range shards {
+		if s.next() < limit {
+			due = append(due, s)
+		}
 	}
-	<-w.done
-	var first time.Time
-	if stall != nil {
-		first = time.Now()
+	w.due = due
+	if len(due) == 0 {
+		return
 	}
-	for i := 1; i < len(w.starts); i++ {
-		<-w.done
+	timed := stall != nil
+	var start time.Time
+	if timed {
+		start = time.Now()
 	}
-	if stall != nil {
-		stall.Observe(time.Since(first).Seconds())
+	sent := w.sent[:0]
+	for _, s := range due[1:] {
+		j := &job{s: s, limit: limit, timed: timed}
+		sent = append(sent, j)
+		select {
+		case w.jobs <- j:
+		default: // every worker is behind; the claim below takes it
+		}
 	}
+	w.sent = sent
+	var first, last time.Time
+	finish := func(fin time.Time) {
+		if first.IsZero() || fin.Before(first) {
+			first = fin
+		}
+		if fin.After(last) {
+			last = fin
+		}
+	}
+	due[0].runEpoch(limit)
+	if timed {
+		finish(time.Now())
+	}
+	pending := 0
+	for _, j := range sent {
+		if !j.claimed.CompareAndSwap(false, true) {
+			pending++
+			continue
+		}
+		j.s.runEpoch(limit)
+		if timed {
+			finish(time.Now())
+		}
+	}
+	for range pending {
+		if fin := <-w.done; timed {
+			finish(fin)
+		}
+	}
+	clear(w.sent)
+	if !timed {
+		return
+	}
+	if len(due) < len(shards) {
+		first = start
+	}
+	stall.Observe(last.Sub(first).Seconds())
 }
 
+// stop ends the workers and waits for them to exit.
 func (w *workers) stop() {
-	for _, c := range w.starts {
-		close(c)
-	}
+	close(w.jobs)
+	w.wg.Wait()
 }
 
 // barrier runs on the coordinator with every shard parked and every

@@ -120,13 +120,16 @@ type Config struct {
 	// failures. Ignored when DisablePooling is set.
 	PoisonRecycled bool
 	// Shards is how many goroutines advance the run. Nodes are
-	// partitioned into Shards groups, each group's event heap advances
-	// on its own goroutine in conservative epochs of width PropDelay
-	// (the minimum radio latency, hence a safe lookahead), and
-	// cross-shard deliveries travel through per-epoch mailboxes. 0 and 1
-	// both run the single shard inline on the calling goroutine. Shards
-	// is a pure parallelism setting: the output is byte-identical at
-	// every value (see docs/SCALING.md and docs/DETERMINISM.md).
+	// partitioned into Shards groups, each group's event heaps advance
+	// in conservative epochs of width PropDelay (the minimum radio
+	// latency, hence a safe lookahead), and cross-shard deliveries
+	// travel through per-epoch mailboxes. 0 and 1 both run the single
+	// shard inline on the calling goroutine: the engine cannot tell
+	// whether the behaviors it hosts share state across nodes. A host
+	// whose behaviors are shard-safe resolves its own 0 with AutoShards
+	// first, as core.Deploy does. Shards is a pure parallelism setting:
+	// the output is byte-identical at every value (see docs/SCALING.md
+	// and docs/DETERMINISM.md).
 	Shards int
 	// ShardOf optionally assigns each graph node to a shard (len N(),
 	// values in [0, max(Shards, 1))). Nil assigns contiguous index

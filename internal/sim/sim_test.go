@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/geom"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/topology"
 	"repro/internal/xrand"
 )
@@ -566,5 +568,67 @@ func BenchmarkBroadcastDelivery(b *testing.B) {
 		if _, err := eng.RunUntilIdle(0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestAutoShards(t *testing.T) {
+	for _, c := range []struct {
+		name             string
+		shards, n, procs int
+		want             int
+	}{
+		{"one core", 0, 100 * minNodesPerShard, 1, 1},
+		{"below threshold", 0, 2*minNodesPerShard - 1, 8, 1},
+		{"tiny", 0, 2, 8, 1},
+		{"at threshold", 0, 2 * minNodesPerShard, 8, 2},
+		{"between", 0, 5*minNodesPerShard + 1, 8, 5},
+		{"capped at procs", 0, 100 * minNodesPerShard, 4, 4},
+		{"explicit one", 1, 100 * minNodesPerShard, 8, 1},
+		{"explicit many", 3, 10, 1, 3},
+		{"negative kept for New to reject", -1, 100 * minNodesPerShard, 8, -1},
+	} {
+		if got := AutoShards(c.shards, c.n, c.procs); got != c.want {
+			t.Errorf("%s: AutoShards(%d, %d, %d) = %d, want %d", c.name, c.shards, c.n, c.procs, got, c.want)
+		}
+	}
+}
+
+// TestIdleShardsStayParked floods a line split into four shards. Most
+// epochs have work due on one shard only, which then runs on the
+// coordinator while the others stay parked; the outcome must match one
+// shard, and every epoch still reports its stall and utilization.
+func TestIdleShardsStayParked(t *testing.T) {
+	flood := func(shards int) ([]*echo, *obs.Registry) {
+		const n = 8
+		bs := make([]node.Behavior, n)
+		echoes := make([]*echo, n)
+		for i := range bs {
+			echoes[i] = &echo{rebroadcast: true}
+			bs[i] = echoes[i]
+		}
+		echoes[n-1].sendOnStart = []byte("wave")
+		reg := obs.NewRegistry()
+		eng := newEngine(t, lineGraph(n), bs, Config{Shards: shards, Obs: reg.Scope("t", 0)})
+		eng.Boot(0)
+		eng.Run(time.Second)
+		return echoes, reg
+	}
+	one, _ := flood(1)
+	four, reg := flood(4)
+	for i := range one {
+		if fmt.Sprint(one[i].received) != fmt.Sprint(four[i].received) {
+			t.Errorf("node %d received %v at four shards, %v at one", i, four[i].received, one[i].received)
+		}
+	}
+	if len(four[0].received) == 0 {
+		t.Fatal("the flood never reached the far end of the line")
+	}
+	snap := reg.Snapshot()
+	epochs := snap["sim_epochs_total"].(uint64)
+	stall := snap["sim_shard_stall_seconds"].(obs.HistogramSnapshot)
+	util := snap["sim_shard_util"].(obs.HistogramSnapshot)
+	if epochs == 0 || stall.Count != epochs || util.Count != epochs {
+		t.Errorf("epochs %d, stall observations %d, utilization observations %d: want all equal and nonzero",
+			epochs, stall.Count, util.Count)
 	}
 }

@@ -241,3 +241,21 @@ func TestLabDeterminism(t *testing.T) {
 		t.Fatal("lossy run delivered nothing; scenario too harsh to be meaningful")
 	}
 }
+
+// TestLabRunsOnOneShard pins that a Lab stays on one inline shard however
+// large its graph: it builds its engine with Shards unset, which the
+// engine never resolves to more than one (sim.AutoShards is for hosts
+// whose behaviors are shard-safe, such as core.Deploy).
+func TestLabRunsOnOneShard(t *testing.T) {
+	graph, err := topology.Generate(xrand.New(5), topology.Config{N: 20_000, Density: 10, Metric: geom.Torus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab, err := NewLab(LabConfig{Graph: graph, Seed: 5}, make([]node.Behavior, graph.N()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lab.eng.ShardCount(); got != 1 {
+		t.Fatalf("a 20 000-node Lab runs on %d shards, want 1", got)
+	}
+}
