@@ -16,12 +16,15 @@ test:
 # The deterministic runner's contract includes being race-detector-clean
 # at any worker count; the equivalence harness pins Workers=4 so this
 # exercises real goroutine interleaving even on a single-CPU machine.
-# The second pass races the sim's cross-shard record hand-off at
-# GOMAXPROCS 1 and 4; the third races a deployment whose shard count
-# Shards 0 resolves to one shard at GOMAXPROCS 1 and to two at 2.
+# The second pass races the sim's cross-shard record hand-off and its
+# per-shard sealer scratches at GOMAXPROCS 1 and 4; the third races
+# crypt's memo table of verified frames; the fourth races a deployment
+# whose shard count Shards 0 resolves to one shard at GOMAXPROCS 1 and
+# to two at 2.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 -cpu 1,4 -run 'ShardMerge|Arrival|Immutability|Pool|SendTo|FaultPlan|IdleShards' ./internal/sim/
+	$(GO) test -race -count=1 -cpu 1,4 -run 'ShardMerge|Arrival|Immutability|Pool|SendTo|FaultPlan|IdleShards|SharedScratch' ./internal/sim/
+	$(GO) test -race -count=1 -cpu 1,4 -run 'Shared|Memo|Tamper' ./internal/crypt/
 	$(GO) test -race -count=1 -cpu 1,2 -run 'DeployAutoShards' ./internal/core/
 
 # bench runs the paper's benchmark harness (bench_test.go, one

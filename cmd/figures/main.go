@@ -19,7 +19,8 @@
 //
 // -shards S runs every trial's simulation on S shard goroutines (the
 // trial pool shrinks so -workers still bounds total concurrency);
-// -shards 0 picks S per deployment from its node count and GOMAXPROCS.
+// -shards 0 picks S per deployment from its node count and GOMAXPROCS,
+// and one shard per trial in a step whose trials alone fill the cores.
 // Like -workers it never changes the output; see docs/SCALING.md. The scale
 // step's ScaleSweep sizes come from -scale-sizes; reproducing the
 // 10^6-node run is

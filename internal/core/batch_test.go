@@ -270,6 +270,7 @@ type benchCtx struct {
 	timers int
 	rng    *xrand.RNG
 	keys   *crypt.Keyring
+	sc     crypt.Scratch
 }
 
 func (c *benchCtx) ID() node.ID                                   { return 1 }
@@ -281,6 +282,7 @@ func (c *benchCtx) Rand() *xrand.RNG                              { return c.rng
 func (c *benchCtx) ChargeCipher(int)                              {}
 func (c *benchCtx) ChargeMAC(int)                                 {}
 func (c *benchCtx) Die()                                          {}
+func (c *benchCtx) Scratch() *crypt.Scratch                       { return &c.sc }
 func (c *benchCtx) Keyring() *crypt.Keyring {
 	if c.keys == nil {
 		c.keys = crypt.NewKeyring()

@@ -92,7 +92,7 @@ func (s *Sensor) SendReading(ctx node.Context, data []byte) (uint32, bool) {
 		inner.Counter = s.readingCtr
 		inner.Encrypted = true
 		aad := s.innerAAD(s.id)
-		s.innerSealBuf = s.scratch.AppendSeal(s.sealerFor(ctx, s.ks.NodeKey), s.innerSealBuf[:0], s.readingCtr, aad, data)
+		s.innerSealBuf = ctx.Scratch().AppendSeal(s.sealerFor(ctx, s.ks.NodeKey), s.innerSealBuf[:0], s.readingCtr, aad, data)
 		inner.Sealed = s.innerSealBuf
 		ctx.ChargeCipher(len(data))
 		ctx.ChargeMAC(len(data) + len(aad))
@@ -161,7 +161,7 @@ func (s *Sensor) deliver(ctx node.Context, origin node.ID, seq uint32, innerByte
 		}
 		aad := s.innerAAD(in.Src)
 		ctx.ChargeMAC(len(in.Sealed) + len(aad))
-		pt, ok := s.scratch.AppendOpen(s.sealerFor(ctx, ki), s.innerOpenBuf[:0], in.Counter, aad, in.Sealed)
+		pt, ok := ctx.Scratch().AppendOpen(s.sealerFor(ctx, ki), s.innerOpenBuf[:0], in.Counter, aad, in.Sealed)
 		if !ok {
 			return
 		}
@@ -344,8 +344,9 @@ func (s *Sensor) onData(ctx node.Context, f *wire.Frame) {
 	if len(s.pendingAcks) > 0 && d.Hop < s.hop {
 		for i := range d.Readings {
 			k := dedupKey{d.Readings[i].Origin, d.Readings[i].Seq}
-			if _, ok := s.pendingAcks[k]; ok {
+			if p, ok := s.pendingAcks[k]; ok {
 				delete(s.pendingAcks, k)
+				s.freePending = append(s.freePending, p)
 				s.degraded = false
 			}
 		}
@@ -402,10 +403,14 @@ func (s *Sensor) trackPending(ctx node.Context, inner []byte, origin node.ID, se
 	if len(s.pendingAcks) == 0 || at < s.retryMinAt {
 		s.retryMinAt = at
 	}
-	s.pendingAcks[k] = &pendingSend{
-		inner:  append([]byte(nil), inner...),
-		nextAt: at,
+	var p *pendingSend
+	if n := len(s.freePending); n > 0 {
+		p, s.freePending = s.freePending[n-1], s.freePending[:n-1]
+	} else {
+		p = new(pendingSend)
 	}
+	*p = pendingSend{inner: append(p.inner[:0], inner...), nextAt: at}
+	s.pendingAcks[k] = p
 	// One armed timer covers the whole queue: arm only when this entry
 	// comes due before the earliest outstanding fire (or none is armed).
 	// Under sustained traffic most entries are implicitly acked before
@@ -473,6 +478,7 @@ func (s *Sensor) dataRetryTick(ctx node.Context) {
 			// Budget exhausted with no ack: give up on this reading and
 			// flag degraded operation (cleared by the next ack heard).
 			delete(s.pendingAcks, k)
+			s.freePending = append(s.freePending, p)
 			s.degraded = true
 			s.om.degraded.Inc()
 			s.cfg.Obs.Emit(now, obs.KindDegraded, int(s.id), s.ks.CID, "")

@@ -192,6 +192,9 @@ type Sensor struct {
 	// and allowed to go stale-low when the earliest entry is acked (the
 	// next tick then does one wasted scan and re-tightens it).
 	pendingAcks map[dedupKey]*pendingSend
+	// freePending holds entries acked or given up, with their inner
+	// buffers, for trackPending to reuse.
+	freePending []*pendingSend
 	retryMinAt  time.Duration
 	// retryTimerAt is the deadline of the earliest outstanding
 	// tagDataRetry fire, or 0 when none is tracked (backoffs are always
@@ -260,12 +263,14 @@ type Sensor struct {
 
 	// sealers maps each key the node has sealed or opened under to its
 	// keyed AEAD state (subkey derivations, AES key schedule, HMAC
-	// midstates), and scratch is the node's one mutable half that runs
-	// it, so steady-state sealing and opening allocate nothing. The
-	// keyed states are not the node's own: ring, the host's keyring,
-	// interns one per distinct key and every entry here holds one
-	// reference to it, so a cluster key shared by a whole cluster and
-	// its border neighbours is derived once per deployment. The map
+	// midstates); the mutable half that runs it is the host's
+	// (ctx.Scratch), so steady-state sealing and opening allocate
+	// nothing. The keyed states are not the node's own: ring, the
+	// host's keyring, interns one per distinct key and every entry here
+	// holds one reference to it, so a cluster key shared by a whole
+	// cluster and its border neighbours is derived once per deployment,
+	// and in the simulator a frame sealed under it is verified once per
+	// shard (crypt.NewSharedScratch). The map
 	// therefore holds exactly the node's own keys in use, and an entry
 	// leaves with its key: dropCluster, setPrevKey, clearPrevKey and
 	// dropMeta go through evictSealer, Km erasure, repair's clean-up
@@ -274,7 +279,6 @@ type Sensor struct {
 	// reaches any output.
 	sealers map[crypt.Key]*crypt.KeyState
 	ring    *crypt.Keyring // set at the first acquire; a node never changes host
-	scratch crypt.Scratch
 
 	// Transmit-path scratch. Every buffer is consumed before the call
 	// that filled it returns control to the radio (Broadcast copies
@@ -705,7 +709,7 @@ func (s *Sensor) nextNonce() uint64 {
 func (s *Sensor) sealFrame(ctx node.Context, typ wire.Type, cid uint32, key crypt.Key, body []byte) []byte {
 	nonce := s.nextNonce()
 	aad := s.frameAAD(typ, cid)
-	s.sealBuf = s.scratch.AppendSeal(s.sealerFor(ctx, key), s.sealBuf[:0], nonce, aad, body)
+	s.sealBuf = ctx.Scratch().AppendSeal(s.sealerFor(ctx, key), s.sealBuf[:0], nonce, aad, body)
 	ctx.ChargeCipher(len(body))
 	ctx.ChargeMAC(len(body) + len(aad))
 	pkt, err := (&wire.Frame{Type: typ, CID: cid, Nonce: nonce, Payload: s.sealBuf}).AppendMarshal(s.txBuf[:0])
@@ -724,7 +728,7 @@ func (s *Sensor) sealFrame(ctx node.Context, typ wire.Type, cid uint32, key cryp
 func (s *Sensor) openFrame(ctx node.Context, f *wire.Frame, key crypt.Key) ([]byte, bool) {
 	aad := s.frameAAD(f.Type, f.CID)
 	ctx.ChargeMAC(len(f.Payload) + len(aad))
-	body, ok := s.scratch.AppendOpen(s.sealerFor(ctx, key), s.openBuf[:0], f.Nonce, aad, f.Payload)
+	body, ok := ctx.Scratch().AppendOpen(s.sealerFor(ctx, key), s.openBuf[:0], f.Nonce, aad, f.Payload)
 	if !ok {
 		return nil, false
 	}

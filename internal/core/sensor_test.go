@@ -144,6 +144,7 @@ func TestRefreshModeString(t *testing.T) {
 type stubContext struct {
 	sent [][]byte
 	keys *crypt.Keyring
+	sc   crypt.Scratch
 }
 
 func (c *stubContext) ID() node.ID                                   { return 7 }
@@ -155,6 +156,7 @@ func (c *stubContext) Rand() *xrand.RNG                              { return xr
 func (c *stubContext) ChargeCipher(int)                              {}
 func (c *stubContext) ChargeMAC(int)                                 {}
 func (c *stubContext) Die()                                          {}
+func (c *stubContext) Scratch() *crypt.Scratch                       { return &c.sc }
 func (c *stubContext) Keyring() *crypt.Keyring {
 	if c.keys == nil {
 		c.keys = crypt.NewKeyring()

@@ -24,7 +24,19 @@
 //
 // Nothing in this package is mocked: every protocol message in the simulator
 // is really encrypted and really authenticated, so tampering and replay
-// tests exercise genuine cryptographic failure paths.
+// tests exercise genuine cryptographic failure paths. Verification is
+// shared in one case only. A Scratch from NewSharedScratch remembers the
+// frames it has sealed or verified, and an open of byte-identical input
+// (the same KeyState, nonce, associated data and sealed bytes) that its
+// table still holds returns the remembered plaintext without recomputing
+// the MAC. That is exact, because sealing is deterministic: for that input
+// the full check would accept and decrypt to the same bytes. Any other
+// input, including one flipped bit or another key, is verified in full.
+// A simulation host hands one such Scratch to all the nodes it runs on one
+// goroutine, so a cluster-keyed broadcast that every neighbour opens is
+// verified there once. Each node still charges its own energy meter for
+// every MAC and cipher byte. The zero-value Scratch and the Sealer never
+// share.
 package crypt
 
 import (

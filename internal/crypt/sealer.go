@@ -1,6 +1,7 @@
 package crypt
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
@@ -10,6 +11,7 @@ import (
 	"hash"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // A sealer is split in two halves so that every node holding the same
@@ -22,16 +24,26 @@ import (
 //     for a whole deployment.
 //   - Scratch, the mutable per-caller half: the SHA-256 digest the MAC
 //     runs on and the counter, keystream and tag buffers. Each caller (in
-//     the protocol, each node) owns one and uses it with any KeyState.
+//     the protocol, each host goroutine) owns one and uses it with any
+//     KeyState. A Scratch from NewSharedScratch also remembers the frames
+//     it has verified (see memo), so a broadcast that several nodes of one
+//     host open is verified there once.
 //
 // Output is byte-identical to the one-shot Seal/Open —
-// TestSealerMatchesSeal and TestSharedKeyStateMatchesSeal pin this — so
-// callers may mix the paths freely; the split only changes who pays the
-// setup cost and how often.
+// TestSealerMatchesSeal, TestSharedKeyStateMatchesSeal and
+// TestSharedScratchMatchesZeroValue pin this — so callers may mix the
+// paths freely; the split only changes who pays the setup cost and how
+// often.
 
 // KeyState is the immutable keyed half of a sealer for one directory key.
 // Take a shared one from a Keyring.
 type KeyState struct {
+	// serial names this state in memo tables. It is unique for the life
+	// of the process and never reused, so a table slot can never match a
+	// state built later, even one for the same key, and no slot needs to
+	// hold a pointer that would keep a released state reachable.
+	serial uint64
+
 	enc cipher.Block // AES-128 keyed with Kencr; Encrypt is concurrency-safe
 
 	// ipad and opad are the marshaled SHA-256 states after absorbing the
@@ -47,9 +59,14 @@ type KeyState struct {
 	gcm     cipher.AEAD
 }
 
+// keySerials hands out KeyState serials; 0 is never handed out, so it marks
+// an empty memo slot.
+var keySerials atomic.Uint64
+
 // init derives the encryption and MAC subkeys from k and precomputes
 // their cipher state.
 func (st *KeyState) init(k Key) {
+	st.serial = keySerials.Add(1)
 	encKey := DeriveKey(k, LabelEncrypt)
 	macKey := DeriveKey(k, LabelMAC)
 	block, err := aes.NewCipher(encKey[:])
@@ -93,9 +110,16 @@ type restorableHash interface {
 // ready to use with any KeyState; it is not safe for concurrent use.
 // Seal and open calls through one Scratch allocate nothing once its
 // digest exists (after the first call).
+//
+// A Scratch from NewSharedScratch carries a memo table of verified
+// frames; the zero value, and the one inside every Sealer, has none and
+// runs the full HMAC and AES-CTR path on every call. So a Sealer always
+// measures real verification, and only a host that hands one Scratch to
+// all the behaviors it runs on one goroutine shares the work.
 type Scratch struct {
-	h   restorableHash
-	sum [sha256.Size]byte // inner and outer MAC digests
+	memo *memo // nil: every open is verified in full
+	h    restorableHash
+	sum  [sha256.Size]byte // inner and outer MAC digests
 	// Counter/keystream scratch for xorKeyStream: locals would escape to
 	// the heap through the cipher.Block interface call, so they live here.
 	ctr [aes.BlockSize]byte
@@ -216,8 +240,18 @@ func (sc *Scratch) tag(st *KeyState, nonce uint64, aad, ct []byte) []byte {
 func (sc *Scratch) AppendSeal(st *KeyState, dst []byte, nonce uint64, aad, plaintext []byte) []byte {
 	off := len(dst)
 	dst = slices.Grow(dst, len(plaintext)+max(Overhead, keystreamRoom(len(plaintext))))[:off+len(plaintext)]
+	// Each half of the memo slot is filled while its source is intact,
+	// so an in-place seal still remembers the right pair.
+	s := sc.memo.claim(st.serial, nonce, aad, len(plaintext)+Overhead)
+	if s != nil {
+		copy(s.plain(), plaintext)
+	}
 	sc.xorKeyStream(st, nonce, dst[off:], plaintext)
-	return append(dst, sc.tag(st, nonce, aad, dst[off:])...)
+	dst = append(dst, sc.tag(st, nonce, aad, dst[off:])...)
+	if s != nil {
+		copy(s.sealed(), dst[off:])
+	}
+	return dst
 }
 
 // AppendOpen verifies and decrypts a Seal/AppendSeal output under st,
@@ -232,14 +266,133 @@ func (sc *Scratch) AppendOpen(st *KeyState, dst []byte, nonce uint64, aad, seale
 	if len(sealed) < Overhead {
 		return dst, false
 	}
+	if sc.memo != nil {
+		if pt, ok := sc.memo.get(st.serial, nonce, aad, sealed); ok {
+			// Reserve what the full path would, so a caller's buffer
+			// grows the same way whichever path answers.
+			return append(slices.Grow(dst, len(pt)+keystreamRoom(len(pt))), pt...), true
+		}
+	}
 	ctLen := len(sealed) - Overhead
 	if subtle.ConstantTimeCompare(sealed[ctLen:], sc.tag(st, nonce, aad, sealed[:ctLen])) != 1 {
 		return dst, false
 	}
+	s := sc.memo.claim(st.serial, nonce, aad, len(sealed))
+	if s != nil {
+		copy(s.sealed(), sealed) // before an in-place open overwrites it
+	}
 	off := len(dst)
 	dst = slices.Grow(dst, ctLen+keystreamRoom(ctLen))[:off+ctLen]
 	sc.xorKeyStream(st, nonce, dst[off:], sealed[:ctLen])
+	if s != nil {
+		copy(s.plain(), dst[off:])
+	}
 	return dst, true
+}
+
+// NewSharedScratch returns a Scratch with a memo table of verified
+// frames, for a host to share among every behavior it runs on one
+// goroutine. An open of byte-identical input under the same KeyState
+// that the table still holds returns the remembered plaintext; every
+// other open takes the full path. See memo for why that is exact.
+func NewSharedScratch() *Scratch {
+	return &Scratch{memo: &memo{slots: make([]memoSlot, memoSlots)}}
+}
+
+// MemoStats returns how many opens through sc the memo table answered
+// and how many it looked up and missed. Both are 0 without a table. The
+// sim engine reports them as crypt_memo_hits_total and
+// crypt_memo_misses_total.
+func (sc *Scratch) MemoStats() (hits, misses uint64) {
+	if sc.memo == nil {
+		return 0, 0
+	}
+	return sc.memo.hits, sc.memo.misses
+}
+
+// memo remembers frames a Scratch has sealed or verified: a fixed-size,
+// direct-mapped table indexed by a hash of the nonce. A slot holds the
+// KeyState's serial, the nonce, and the aad, sealed and plaintext bytes
+// inline; a newer frame for the same slot overwrites it, and frames too
+// long for a slot are not remembered.
+//
+// A hit needs the same serial and nonce and byte-equal aad and sealed
+// input. Sealing is deterministic, so for that input the full path
+// would compute the same tag, accept it, and decrypt to the same
+// plaintext: the answer is exact, not a guess. Anything else — a flipped
+// byte anywhere, a different key, a key released and acquired again (a
+// new serial) — misses and is verified in full, so a tampered or
+// wrong-key frame fails as it always did. The byte comparisons are not
+// constant-time; they only tell whether a frame equals one the host
+// already received, which an eavesdropper on the same radio also sees.
+type memo struct {
+	slots        []memoSlot
+	hits, misses uint64
+}
+
+// memoSlots is the table size, a power of two; memoSlotBytes is the
+// inline capacity of a slot, sized so a slot takes 1 KiB. A frame is
+// remembered when its aad, sealed bytes and plaintext together fit:
+// sealed input up to about 500 bytes, which covers a full batch of
+// eight readings. The 64 slots (64 KiB) come from a slot-count sweep
+// (docs/THROUGHPUT.md): more slots raised the hit rate a little, and the
+// peak RSS of a run of small deployments by about three times the
+// table's size.
+const (
+	memoBits      = 6
+	memoSlots     = 1 << memoBits
+	memoSlotBytes = 1000
+)
+
+type memoSlot struct {
+	serial        uint64 // KeyState serial; 0 marks an empty slot
+	nonce         uint64
+	aadN, sealedN uint16
+	buf           [memoSlotBytes]byte // aad ‖ sealed ‖ plaintext
+}
+
+// slot returns nonce's slot (Fibonacci hashing: the protocol's nonces
+// differ mostly in their low bits, which the multiply spreads upward).
+func (m *memo) slot(nonce uint64) *memoSlot {
+	return &m.slots[(nonce*0x9e3779b97f4a7c15)>>(64-memoBits)]
+}
+
+// get returns the remembered plaintext of a frame, or false.
+func (m *memo) get(serial, nonce uint64, aad, sealed []byte) ([]byte, bool) {
+	s := m.slot(nonce)
+	if s.serial != serial || s.nonce != nonce || int(s.aadN) != len(aad) || int(s.sealedN) != len(sealed) ||
+		!bytes.Equal(s.buf[:len(aad)], aad) || !bytes.Equal(s.sealed(), sealed) {
+		m.misses++
+		return nil, false
+	}
+	m.hits++
+	return s.plain(), true
+}
+
+// claim gives nonce's slot to a frame under the state with serial whose
+// sealed input is n bytes long, copies aad in, and returns the slot; the
+// caller copies the sealed bytes and the plaintext into s.sealed() and
+// s.plain(). It returns nil without a table or when the frame does not
+// fit a slot.
+func (m *memo) claim(serial, nonce uint64, aad []byte, n int) *memoSlot {
+	if m == nil || len(aad)+2*n-Overhead > memoSlotBytes {
+		return nil
+	}
+	s := m.slot(nonce)
+	s.serial, s.nonce = serial, nonce
+	s.aadN, s.sealedN = uint16(len(aad)), uint16(n)
+	copy(s.buf[:], aad)
+	return s
+}
+
+func (s *memoSlot) sealed() []byte {
+	a := int(s.aadN)
+	return s.buf[a : a+int(s.sealedN)]
+}
+
+func (s *memoSlot) plain() []byte {
+	a, n := int(s.aadN), int(s.sealedN)
+	return s.buf[a+n : a+2*n-Overhead]
 }
 
 // Sealer is an allocation-free equivalent of Seal/Open for one directory

@@ -47,7 +47,8 @@ func ElectionDelay(o Options, meansMS []int, density float64) (*ElectionDelayRes
 	type electionObs struct {
 		singles, heads, size float64
 	}
-	obs, err := runner.Grid(o.pool(o.N), len(meansMS), o.Trials,
+	o, workers := o.pool(o.N, len(meansMS)*o.Trials)
+	obs, err := runner.Grid(workers, len(meansMS), o.Trials,
 		func(point, trial int) (electionObs, error) {
 			cfg := core.DefaultConfig()
 			cfg.HelloMeanDelay = time.Duration(meansMS[point]) * time.Millisecond
@@ -120,7 +121,8 @@ func RoutingAblation(o Options) (*RoutingAblationResult, error) {
 	type routingObs struct {
 		ratio, perReading float64
 	}
-	obs, err := runner.Map(o.pool(o.N), len(policies), func(pi int) (routingObs, error) {
+	o, workers := o.pool(o.N, len(policies))
+	obs, err := runner.Map(workers, len(policies), func(pi int) (routingObs, error) {
 		cfg := core.DefaultConfig()
 		cfg.FloodForwarding = policies[pi]
 		rec := trace.New()
@@ -190,7 +192,8 @@ func FreshWindow(o Options, windowsMS []int) (*FreshWindowResult, error) {
 		windowsMS = []int{1, 2, 5, 50, 250}
 	}
 	res := &FreshWindowResult{Delivery: stats.NewSeries("delivery"), N: o.N}
-	obs, err := runner.Grid(o.pool(o.N), len(windowsMS), o.Trials,
+	o, workers := o.pool(o.N, len(windowsMS)*o.Trials)
+	obs, err := runner.Grid(workers, len(windowsMS), o.Trials,
 		func(point, trial int) (float64, error) {
 			cfg := core.DefaultConfig()
 			cfg.FreshWindow = time.Duration(windowsMS[point]) * time.Millisecond
@@ -283,7 +286,8 @@ func MACAblation(o Options) (*MACAblationResult, error) {
 	}
 	// All three media share o.Seed on purpose: the comparison holds the
 	// topology fixed and varies only the collision model.
-	rows, err := runner.Map(o.pool(o.N), len(configs), func(ci int) (MACRow, error) {
+	o, workers := o.pool(o.N, len(configs))
+	rows, err := runner.Map(workers, len(configs), func(ci int) (MACRow, error) {
 		c := configs[ci]
 		d, err := core.Deploy(core.DeployOptions{
 			N: o.N, Density: 12.5, Seed: o.Seed,

@@ -67,7 +67,8 @@ func CrashChurn(o Options, fracs []float64) (*CrashChurnResult, error) {
 		repaired     int
 		latencySumMS float64
 	}
-	obs, err := runner.Grid(o.pool(o.N), len(fracs), o.Trials,
+	o, workers := o.pool(o.N, len(fracs)*o.Trials)
+	obs, err := runner.Grid(workers, len(fracs), o.Trials,
 		func(point, trial int) (churnObs, error) {
 			// Victim selection draws from its own stream so adding a
 			// crash axis never perturbs the deployment.
@@ -281,7 +282,8 @@ func BurstLoss(o Options, lossBad []float64) (*BurstLossResult, error) {
 	type burstObs struct {
 		retry, bare, degraded float64
 	}
-	obs, err := runner.Grid(o.pool(o.N), len(lossBad), o.Trials,
+	o, workers := o.pool(o.N, len(lossBad)*o.Trials)
+	obs, err := runner.Grid(workers, len(lossBad), o.Trials,
 		func(point, trial int) (burstObs, error) {
 			withRetry, degraded, err := arm(point, trial, 2)
 			if err != nil {

@@ -203,6 +203,31 @@ func TestShardCountEquivalence(t *testing.T) {
 	}
 }
 
+// TestPoolOneShardPerTrialWhenCellsFill checks how the trial pool
+// settles Shards 0 at GOMAXPROCS 2, for a deployment large enough for
+// two shards: one shard per trial once the cells alone can fill both
+// cores, the automatic count otherwise, and an explicit count always.
+func TestPoolOneShardPerTrialWhenCellsFill(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 4000
+	for _, c := range []struct {
+		name                   string
+		o                      Options
+		cells, shards, workers int
+	}{
+		{"cells fill the cores", Options{}, 2, 1, 2},
+		{"one cell", Options{}, 1, 2, 1},
+		{"serial pool", Options{Workers: 1}, 8, 2, 1},
+		{"explicit shards", Options{Shards: 2}, 8, 2, 1},
+		{"wide pool", Options{Workers: 4}, 8, 1, 4},
+	} {
+		po, workers := c.o.pool(n, c.cells)
+		if got := po.shards(n); got != c.shards || workers != c.workers {
+			t.Errorf("%s: %d shards on %d workers; want %d on %d", c.name, got, workers, c.shards, c.workers)
+		}
+	}
+}
+
 // TestParallelDeterminismRepeatedRuns is the scheduling-nondeterminism
 // regression: the same Options run twice on a multi-worker pool must
 // marshal identically. Map iteration leaking into observation order, a

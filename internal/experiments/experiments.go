@@ -48,9 +48,10 @@ type Options struct {
 	Obs *obs.Registry
 	// Shards is how many goroutines each trial's simulation runs on: 0
 	// picks the count from each deployment's size and GOMAXPROCS
-	// (sim.AutoShards), 1 forces one inline shard. The trial pool is
-	// sized with runner.NestedWorkers on the resolved count, so Workers
-	// keeps bounding total concurrency. Like Workers it is a pure
+	// (sim.AutoShards), or one shard per trial when a step's trials can
+	// fill the cores (see pool); 1 forces one inline shard. The trial
+	// pool is sized with runner.NestedWorkers on the resolved count, so
+	// Workers keeps bounding total concurrency. Like Workers it is a pure
 	// parallelism setting: output is byte-identical at every value (see
 	// docs/SCALING.md).
 	Shards int
@@ -105,12 +106,23 @@ func (o Options) Validate() error {
 // so it is the one the pool below was sized for.
 func (o Options) shards(n int) int { return sim.AutoShards(o.Shards, n, runtime.GOMAXPROCS(0)) }
 
-// pool resolves the trial pool's worker count for trials whose largest
-// deployment has n nodes. Each such trial runs o.shards(n) goroutines,
-// so the outer pool shrinks to keep Workers meaning total concurrency
+// pool resolves the trial pool for cells independent trials whose
+// largest deployment has n nodes: it returns o with the trials' shard
+// setting settled, and the pool's worker count. At Shards 0, when the
+// cells alone can keep every core busy (at least GOMAXPROCS of them, on
+// a pool at least that large), each trial runs on one shard: trials
+// share nothing, while the shards of one trial meet at a barrier every
+// epoch. Otherwise each trial runs o.shards(n) goroutines, and the pool
+// shrinks to keep Workers meaning total concurrency
 // (runner.NestedWorkers); AutoShards grows with n, so a smaller
 // deployment never runs more.
-func (o Options) pool(n int) int { return runner.NestedWorkers(o.Workers, o.shards(n)) }
+func (o Options) pool(n, cells int) (Options, int) {
+	procs := runtime.GOMAXPROCS(0)
+	if o.Shards == 0 && cells >= procs && runner.Workers(o.Workers) >= procs {
+		o.Shards = 1
+	}
+	return o, runner.NestedWorkers(o.Workers, o.shards(n))
+}
 
 // Caps bounds an Options value for experiment families that are too
 // event-heavy (or too memory-heavy) to run at the full figure scale.
@@ -225,7 +237,8 @@ func DensitySweep(o Options, densities []float64) (*SweepResult, error) {
 	type sweepObs struct {
 		keys, size, heads, msgs float64
 	}
-	obs, err := runner.Grid(o.pool(o.N), len(densities), o.Trials,
+	o, workers := o.pool(o.N, len(densities)*o.Trials)
+	obs, err := runner.Grid(workers, len(densities), o.Trials,
 		func(point, trial int) (sweepObs, error) {
 			d, err := deployTrial(o, densities[point], point, trial)
 			if err != nil {
@@ -296,7 +309,8 @@ func Figure1(o Options, densities ...float64) (*Figure1Result, error) {
 	}
 	// Jobs return raw per-cluster sizes; histogram counts are insensitive
 	// to the (map-iteration) order they arrive in.
-	sizes, err := runner.Grid(o.pool(o.N), len(densities), o.Trials,
+	o, workers := o.pool(o.N, len(densities)*o.Trials)
+	sizes, err := runner.Grid(workers, len(densities), o.Trials,
 		func(point, trial int) ([]int, error) {
 			d, err := deployTrial(o, densities[point], point, trial)
 			if err != nil {

@@ -267,7 +267,8 @@ func MobilitySpeedSweep(o Options, speeds []float64) (*MobilityResult, error) {
 	if len(speeds) == 0 {
 		speeds = []float64{0, 0.5, 1, 2, 4}
 	}
-	obs, err := runner.Grid(o.pool(o.N), len(speeds), o.Trials,
+	o, workers := o.pool(o.N, len(speeds)*o.Trials)
+	obs, err := runner.Grid(workers, len(speeds), o.Trials,
 		func(point, trial int) (mobilityObs, error) {
 			return runMobilityTrial(o, "mobility-speed", point, trial, speeds[point], 1)
 		})
@@ -286,7 +287,8 @@ func MobilityChurnSweep(o Options, fracs []float64) (*MobilityResult, error) {
 	if len(fracs) == 0 {
 		fracs = []float64{0, 0.25, 0.5, 1}
 	}
-	obs, err := runner.Grid(o.pool(o.N), len(fracs), o.Trials,
+	o, workers := o.pool(o.N, len(fracs)*o.Trials)
+	obs, err := runner.Grid(workers, len(fracs), o.Trials,
 		func(point, trial int) (mobilityObs, error) {
 			return runMobilityTrial(o, "mobility-churn", point, trial, 1, fracs[point])
 		})

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -129,10 +128,12 @@ func ScaleSweep(o Options, sizes []int, density float64) (*ScaleSweepResult, err
 	// One point at a time, trials fanned out on the nested pool: the
 	// per-trial accumulators are tiny, so merging per-point keeps peak
 	// memory at workers-many deployments, same as every other family.
-	res := &ScaleSweepResult{Density: density, Shards: o.shards(slices.Max(sizes))}
+	res := &ScaleSweepResult{Density: density}
 	for point, n := range sizes {
-		trials, err := runner.Map(o.pool(n), o.Trials, func(trial int) (*ScalePoint, error) {
-			return scaleTrial(o, n, density, point, trial)
+		po, workers := o.pool(n, o.Trials)
+		res.Shards = max(res.Shards, po.shards(n))
+		trials, err := runner.Map(workers, o.Trials, func(trial int) (*ScalePoint, error) {
+			return scaleTrial(po, n, density, point, trial)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("scale n=%d: %w", n, err)

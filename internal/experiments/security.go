@@ -52,7 +52,8 @@ func Resilience(o Options, captureCounts []int) (*ResilienceResult, error) {
 		x            int
 		full, remote []float64
 	}
-	trials, err := runner.Map(o.pool(o.N), o.Trials, func(trial int) ([]captureObs, error) {
+	o, workers := o.pool(o.N, o.Trials)
+	trials, err := runner.Map(workers, o.Trials, func(trial int) ([]captureObs, error) {
 		d, err := deployTrial(o, 12.5, 0, trial)
 		if err != nil {
 			return nil, err
@@ -153,7 +154,8 @@ func BroadcastCost(o Options, densities []float64) (*BroadcastCostResult, error)
 	type bcObs struct {
 		ours, gk, rk, lp float64
 	}
-	obs, err := runner.Grid(o.pool(o.N), len(densities), o.Trials,
+	o, workers := o.pool(o.N, len(densities)*o.Trials)
+	obs, err := runner.Grid(workers, len(densities), o.Trials,
 		func(point, trial int) (bcObs, error) {
 			d, err := deployTrial(o, densities[point], point, trial)
 			if err != nil {
@@ -264,7 +266,8 @@ func SelectiveForwarding(o Options, dropFractions []float64) (*SelectiveForwardi
 		DeliveryRatio: stats.NewSeries("delivery ratio"),
 		N:             o.N,
 	}
-	obs, err := runner.Grid(o.pool(o.N), len(dropFractions), o.Trials,
+	o, workers := o.pool(o.N, len(dropFractions)*o.Trials)
+	obs, err := runner.Grid(workers, len(dropFractions), o.Trials,
 		func(point, trial int) (float64, error) {
 			frac := dropFractions[point]
 			d, err := deployTrial(o, 12.5, point, trial)

@@ -56,7 +56,8 @@ func SetupCost(o Options, densities []float64) (*SetupCostResult, error) {
 	type costObs struct {
 		tx, uj, leapTx, leapUJ, egTx, egUJ float64
 	}
-	obs, err := runner.Grid(o.pool(o.N), len(densities), o.Trials,
+	o, workers := o.pool(o.N, len(densities)*o.Trials)
+	obs, err := runner.Grid(workers, len(densities), o.Trials,
 		func(point, trial int) (costObs, error) {
 			density := densities[point]
 			seed := xrand.TrialSeed(o.Seed^saltBoot, point, trial)

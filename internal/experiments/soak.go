@@ -263,7 +263,8 @@ func Soak(o Options, models []string, batch int) (*SoakResult, error) {
 	type soakObs struct {
 		batch, off SoakTrialStats
 	}
-	obs, err := runner.Grid(o.pool(o.N), len(models), o.Trials,
+	o, workers := o.pool(o.N, len(models)*o.Trials)
+	obs, err := runner.Grid(workers, len(models), o.Trials,
 		func(point, trial int) (soakObs, error) {
 			b, err := SoakTrial(o, models[point], batch, point, trial)
 			if err != nil {

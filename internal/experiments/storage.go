@@ -67,7 +67,8 @@ func Storage(o Options, sizes []int, density float64) (*StorageResult, error) {
 		name string
 		keys float64
 	}
-	obs, err := runner.Grid(o.pool(slices.Max(sizes)), len(sizes), o.Trials,
+	o, workers := o.pool(slices.Max(sizes), len(sizes)*o.Trials)
+	obs, err := runner.Grid(workers, len(sizes), o.Trials,
 		func(point, trial int) ([]schemeObs, error) {
 			opt := o
 			opt.N = sizes[point]

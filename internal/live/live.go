@@ -147,6 +147,9 @@ type lhost struct {
 	rng     *xrand.RNG
 	meter   energy.Meter
 	meterMu sync.Mutex // meter is read by Meter() while the node runs
+	// scratch is the node's own sealer scratch: each node runs on its
+	// own goroutine, so there is no one to share a memo table with.
+	scratch crypt.Scratch
 
 	timers  timerHeap
 	nextTID node.TimerID
@@ -656,6 +659,9 @@ func (h *lhost) ChargeMAC(n int) {
 
 // Keyring implements node.Context: one ring per network.
 func (h *lhost) Keyring() *crypt.Keyring { return h.net.keys }
+
+// Scratch implements node.Context: the node's own zero-value scratch.
+func (h *lhost) Scratch() *crypt.Scratch { return &h.scratch }
 
 // Die implements node.Context.
 func (h *lhost) Die() { h.alive.Store(false) }

@@ -62,6 +62,12 @@ type Context interface {
 	// gets the same ring, so nodes holding the same key share one
 	// derivation of it.
 	Keyring() *crypt.Keyring
+	// Scratch returns the sealer scratch the host shares among the
+	// behaviors it runs on the calling goroutine. A behavior uses it
+	// only inside the callback that fetched it. A host that runs many
+	// behaviors on one goroutine hands out a crypt.NewSharedScratch, so
+	// a broadcast its nodes all open is verified once.
+	Scratch() *crypt.Scratch
 	// Die removes this node from the network (battery depletion or
 	// destruction). No further callbacks are delivered.
 	Die()

@@ -87,6 +87,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/crypt"
 	"repro/internal/faults"
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -158,6 +159,11 @@ type shard struct {
 	free   evPool
 	freeTx []*txTrace
 	pkts   pktArena
+	// scratch is the sealer scratch this shard's behaviors share (nil
+	// until the first one asks; see host.Scratch). memoHits and
+	// memoMisses are its memo counts already added to the obs counters.
+	scratch              *crypt.Scratch
+	memoHits, memoMisses uint64
 	// one is the receiver list of a unicast (Engine.SendTo).
 	one [1]int32
 }
@@ -667,6 +673,7 @@ func (s *shard) reboot(h *host) {
 // Coordinator events (Schedule/Do closures) run between epochs, before
 // shard events at equal times.
 func (e *Engine) run(until time.Duration, drainAll bool, maxEvents int) (int, error) {
+	defer e.publishMemoStats()
 	var w *workers
 	if len(e.shards) > 1 {
 		w = startWorkers(len(e.shards) - 1)

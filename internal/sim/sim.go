@@ -215,6 +215,11 @@ type simMetrics struct {
 	xmsgs  *obs.Counter
 	stall  *obs.Histogram
 	util   *obs.Histogram
+
+	// Shared sealer scratch (host.Scratch): opens its memo table
+	// answered, and opens it looked up and verified in full.
+	memoHits   *obs.Counter
+	memoMisses *obs.Counter
 }
 
 func newSimMetrics(r *obs.Registry) simMetrics {
@@ -232,6 +237,8 @@ func newSimMetrics(r *obs.Registry) simMetrics {
 		xmsgs:      r.Counter("sim_xshard_msgs_total", "cross-shard deliveries exchanged through epoch mailboxes"),
 		stall:      r.Histogram("sim_shard_stall_seconds", "wall-clock spread between the first and last shard finishing an epoch (merge stall)", []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}),
 		util:       r.Histogram("sim_shard_util", "per-epoch shard utilization: events processed divided by shards times the busiest shard's events", []float64{0.25, 0.5, 0.75, 0.9, 1}),
+		memoHits:   r.Counter("crypt_memo_hits_total", "sealer opens answered by a shard's memo table of verified frames, without recomputing the MAC"),
+		memoMisses: r.Counter("crypt_memo_misses_total", "sealer opens through a shard's memo table that it did not hold, verified in full"),
 	}
 }
 
@@ -819,6 +826,32 @@ func (h *host) ChargeMAC(n int) {
 // Keyring implements node.Context: one ring per engine, shared by
 // every shard.
 func (h *host) Keyring() *crypt.Keyring { return h.eng.keys }
+
+// Scratch implements node.Context: one shared scratch per shard, built
+// on first use. A shard's behaviors run on one goroutine at a time (its
+// worker, or the coordinator with every shard parked), so they can share
+// it.
+func (h *host) Scratch() *crypt.Scratch {
+	if h.sh.scratch == nil {
+		h.sh.scratch = crypt.NewSharedScratch()
+	}
+	return h.sh.scratch
+}
+
+// publishMemoStats adds to the obs counters what each shard's memo table
+// answered and missed since the last call. It runs on the coordinator
+// with every shard parked.
+func (e *Engine) publishMemoStats() {
+	for _, s := range e.shards {
+		if s.scratch == nil {
+			continue
+		}
+		hits, misses := s.scratch.MemoStats()
+		e.m.memoHits.Add(hits - s.memoHits)
+		e.m.memoMisses.Add(misses - s.memoMisses)
+		s.memoHits, s.memoMisses = hits, misses
+	}
+}
 
 // Die implements node.Context: the behavior's own declaration of energy
 // death. It routes through the same bookkeeping as a battery-accounting
