@@ -20,12 +20,14 @@ test:
 # per-shard sealer scratches at GOMAXPROCS 1 and 4; the third races
 # crypt's memo table of verified frames; the fourth races a deployment
 # whose shard count Shards 0 resolves to one shard at GOMAXPROCS 1 and
-# to two at 2.
+# to two at 2; the fifth reruns the pinned schedules with every shard
+# junking its host scratch after each callback (the scratchpoison tag).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -cpu 1,4 -run 'ShardMerge|Arrival|Immutability|Pool|SendTo|FaultPlan|IdleShards|SharedScratch' ./internal/sim/
 	$(GO) test -race -count=1 -cpu 1,4 -run 'Shared|Memo|Tamper' ./internal/crypt/
 	$(GO) test -race -count=1 -cpu 1,2 -run 'DeployAutoShards' ./internal/core/
+	$(GO) test -race -tags scratchpoison -count=1 -cpu 1,4 -run 'TestGoldenSchedule|TestShardSmokeInvariance|TestDeployAutoShardsMatchesOneShard|TestLabGoldenSchedule' ./internal/core/ ./internal/transport/
 
 # bench runs the paper's benchmark harness (bench_test.go, one
 # benchmark per figure/claim) and archives the result twice: the raw

@@ -245,7 +245,7 @@ func TestRevokedSensorAbandonsPendingRetries(t *testing.T) {
 	if !vs.Evicted() {
 		t.Fatal("victim still thinks it is in a cluster after revocation")
 	}
-	if n := len(vs.pendingAcks); n != 0 {
+	if n := len(vs.pending); n != 0 {
 		t.Fatalf("victim retains %d pending ack-gated sends after eviction", n)
 	}
 	if len(vs.batchQ) != 0 || len(vs.batchBuf) != 0 {
@@ -270,7 +270,7 @@ type benchCtx struct {
 	timers int
 	rng    *xrand.RNG
 	keys   *crypt.Keyring
-	sc     crypt.Scratch
+	sc     node.Scratch
 }
 
 func (c *benchCtx) ID() node.ID                                   { return 1 }
@@ -282,7 +282,7 @@ func (c *benchCtx) Rand() *xrand.RNG                              { return c.rng
 func (c *benchCtx) ChargeCipher(int)                              {}
 func (c *benchCtx) ChargeMAC(int)                                 {}
 func (c *benchCtx) Die()                                          {}
-func (c *benchCtx) Scratch() *crypt.Scratch                       { return &c.sc }
+func (c *benchCtx) Scratch() *node.Scratch                        { return &c.sc }
 func (c *benchCtx) Keyring() *crypt.Keyring {
 	if c.keys == nil {
 		c.keys = crypt.NewKeyring()
@@ -340,7 +340,7 @@ func TestDataFrameAcksEveryReading(t *testing.T) {
 	ctx := &benchCtx{rng: xrand.New(7)}
 	leaf.SendReading(ctx, []byte("a"))
 	leaf.SendReading(ctx, []byte("b"))
-	if n := len(leaf.pendingAcks); n != 2 || ctx.last == nil {
+	if n := len(leaf.pending); n != 2 || ctx.last == nil {
 		t.Fatalf("leaf tracks %d pending readings (frame sent: %v), want 2 in one frame", n, ctx.last != nil)
 	}
 	sent := ctx.last
@@ -350,7 +350,7 @@ func TestDataFrameAcksEveryReading(t *testing.T) {
 		t.Fatal("relay did not forward the two-reading frame")
 	}
 	leaf.Receive(ctx, 1, ctx.last)
-	if n := len(leaf.pendingAcks); n != 0 {
+	if n := len(leaf.pending); n != 0 {
 		t.Fatalf("%d of 2 readings still pending after the relay's frame", n)
 	}
 }

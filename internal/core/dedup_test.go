@@ -38,41 +38,95 @@ func (r *refDedup) insert(k dedupKey) bool {
 // is, or was just, held — and checks that every insert agrees, that
 // interleaved has queries agree, and periodically that every key the
 // reference holds is in the set.
+//
+// The collision streams draw most keys from groups that share one full
+// hash fingerprint, and so one home slot at every table size, while
+// differing in (origin, seq): only the ring comparison tells them apart.
 func TestDedupSetMatchesReference(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 64, 1024} {
 		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
 			rng := xrand.New(uint64(capacity))
-			var d dedupSet
-			ref := refDedup{m: make(map[dedupKey]struct{}), capacity: capacity}
 			origins := []uint32{0, 1, 7, 1 << 31, ^uint32(0)}
-			draw := func() dedupKey {
+			checkDedupAgainstReference(t, capacity, func() dedupKey {
 				return dedupKey{
 					origin: origins[rng.Uint64n(uint64(len(origins)))],
 					seq:    uint32(rng.Uint64n(uint64(3*capacity + 2))),
 				}
-			}
-			for op := 0; op < max(200*capacity, 20000); op++ {
-				k := draw()
-				if got, want := d.insert(k, capacity), ref.insert(k); got != want {
-					t.Fatalf("op %d: insert(%v) = %v, reference %v", op, k, got, want)
-				}
-				q := draw()
-				_, want := ref.m[q]
-				if got := d.has(q); got != want {
-					t.Fatalf("op %d: has(%v) = %v, reference %v", op, q, got, want)
-				}
-				if op%997 == 0 {
-					for _, held := range ref.fifo {
-						if !d.has(held) {
-							t.Fatalf("op %d: set lost %v", op, held)
-						}
-					}
-				}
-			}
-			if len(d.ring) != len(ref.fifo) {
-				t.Fatalf("set holds %d keys, reference %d", len(d.ring), len(ref.fifo))
-			}
+			})
 		})
+	}
+	for _, capacity := range []int{3, 64, 1024} {
+		t.Run(fmt.Sprintf("collisions/%d", capacity), func(t *testing.T) {
+			rng := xrand.New(uint64(capacity) + 99)
+			// Groups of 24 keys sharing a fingerprint; the groups
+			// together hold about twice the capacity, so each group's
+			// keys are in the set together and evict one another.
+			groups := make([][]dedupKey, max(2*capacity/24, 2))
+			for g := range groups {
+				groups[g] = fingerprintTwins(dedupKey{origin: uint32(rng.Uint64()), seq: uint32(rng.Uint64())}, 24)
+			}
+			checkDedupAgainstReference(t, capacity, func() dedupKey {
+				if rng.Uint64n(8) == 0 {
+					return dedupKey{origin: uint32(rng.Uint64n(4)), seq: uint32(rng.Uint64n(uint64(capacity)))}
+				}
+				g := groups[rng.Uint64n(uint64(len(groups)))]
+				return g[rng.Uint64n(uint64(len(g)))]
+			})
+		})
+	}
+}
+
+// fingerprintTwins returns k and n-1 other keys with k's fingerprint.
+// The hash multiplies the packed key by an odd constant, a bijection on
+// 64 bits, so each twin is the inverse image of k's hash with some of the
+// low bits below the fingerprint changed.
+func fingerprintTwins(k dedupKey, n int) []dedupKey {
+	const mul = 0x9e3779b97f4a7c15
+	inv := uint64(mul) // Newton's iteration for the inverse mod 2^64
+	for range 5 {
+		inv *= 2 - mul*inv
+	}
+	h := k.u64() * mul
+	out := []dedupKey{k}
+	for i := uint64(1); len(out) < n; i++ {
+		u := (h ^ i<<7) * inv
+		twin := dedupKey{origin: uint32(u >> 32), seq: uint32(u)}
+		if dedupFP(twin) != dedupFP(k) || twin == k {
+			panic("fingerprintTwins: not a twin")
+		}
+		out = append(out, twin)
+	}
+	return out
+}
+
+// checkDedupAgainstReference runs a stream of draw()n keys through a
+// dedupSet and the reference, comparing every insert and an interleaved
+// has query, and periodically that the set holds every key the
+// reference does.
+func checkDedupAgainstReference(t *testing.T, capacity int, draw func() dedupKey) {
+	t.Helper()
+	var d dedupSet
+	ref := refDedup{m: make(map[dedupKey]struct{}), capacity: capacity}
+	for op := 0; op < max(200*capacity, 20000); op++ {
+		k := draw()
+		if got, want := d.insert(k, capacity), ref.insert(k); got != want {
+			t.Fatalf("op %d: insert(%v) = %v, reference %v", op, k, got, want)
+		}
+		q := draw()
+		_, want := ref.m[q]
+		if got := d.has(q); got != want {
+			t.Fatalf("op %d: has(%v) = %v, reference %v", op, q, got, want)
+		}
+		if op%997 == 0 {
+			for _, held := range ref.fifo {
+				if !d.has(held) {
+					t.Fatalf("op %d: set lost %v", op, held)
+				}
+			}
+		}
+	}
+	if len(d.ring) != len(ref.fifo) {
+		t.Fatalf("set holds %d keys, reference %d", len(d.ring), len(ref.fifo))
 	}
 }
 

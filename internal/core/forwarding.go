@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/crypt"
@@ -30,8 +29,9 @@ func (s *Sensor) TriggerBeacon(ctx node.Context) {
 	s.bs.round++
 	s.round = s.bs.round
 	s.hop = 0
-	s.bodyBuf = (&wire.Beacon{Round: s.bs.round, Hop: 0}).AppendMarshal(s.bodyBuf[:0])
-	ctx.Broadcast(s.sealFrame(ctx, wire.TBeacon, s.ks.CID, s.ks.ClusterKey, s.bodyBuf))
+	sc := ctx.Scratch()
+	sc.BodyBuf = (&wire.Beacon{Round: s.bs.round, Hop: 0}).AppendMarshal(sc.BodyBuf[:0])
+	ctx.Broadcast(s.sealFrame(ctx, wire.TBeacon, s.ks.CID, s.ks.ClusterKey, sc.BodyBuf))
 }
 
 // beaconTick floods a beacon round and arms the next one: the base
@@ -72,8 +72,9 @@ func (s *Sensor) onBeacon(ctx node.Context, f *wire.Frame) {
 	}
 	s.round = b.Round
 	s.hop = newHop
-	s.bodyBuf = (&wire.Beacon{Round: b.Round, Hop: s.hop}).AppendMarshal(s.bodyBuf[:0])
-	ctx.Broadcast(s.sealFrame(ctx, wire.TBeacon, s.ks.CID, s.ks.ClusterKey, s.bodyBuf))
+	sc := ctx.Scratch()
+	sc.BodyBuf = (&wire.Beacon{Round: b.Round, Hop: s.hop}).AppendMarshal(sc.BodyBuf[:0])
+	ctx.Broadcast(s.sealFrame(ctx, wire.TBeacon, s.ks.CID, s.ks.ClusterKey, sc.BodyBuf))
 }
 
 // SendReading originates one sensed reading toward the base station. Call
@@ -84,6 +85,7 @@ func (s *Sensor) SendReading(ctx node.Context, data []byte) (uint32, bool) {
 		return 0, false
 	}
 	s.readingSeq++
+	sc := ctx.Scratch()
 	inner := &wire.Inner{Src: s.id}
 	if !s.cfg.DisableStep1 {
 		// Step 1: y1 ← E_Kencr(D), t1 ← MAC_KMAC(y1), keys derived from
@@ -92,8 +94,8 @@ func (s *Sensor) SendReading(ctx node.Context, data []byte) (uint32, bool) {
 		inner.Counter = s.readingCtr
 		inner.Encrypted = true
 		aad := s.innerAAD(s.id)
-		s.innerSealBuf = ctx.Scratch().AppendSeal(s.sealerFor(ctx, s.ks.NodeKey), s.innerSealBuf[:0], s.readingCtr, aad, data)
-		inner.Sealed = s.innerSealBuf
+		sc.InnerSealBuf = sc.AppendSeal(s.sealerFor(ctx, s.ks.NodeKey), sc.InnerSealBuf[:0], s.readingCtr, aad, data)
+		inner.Sealed = sc.InnerSealBuf
 		ctx.ChargeCipher(len(data))
 		ctx.ChargeMAC(len(data) + len(aad))
 	} else {
@@ -101,8 +103,8 @@ func (s *Sensor) SendReading(ctx node.Context, data []byte) (uint32, bool) {
 		inner.Sealed = data
 	}
 	s.dedup.insert(dedupKey{s.id, s.readingSeq}, dedupCapacity)
-	s.innerBuf = inner.AppendMarshal(s.innerBuf[:0])
-	s.relayReading(ctx, s.innerBuf, s.id, s.readingSeq)
+	sc.InnerBuf = inner.AppendMarshal(sc.InnerBuf[:0])
+	s.relayReading(ctx, sc.InnerBuf, s.id, s.readingSeq)
 	return s.readingSeq, true
 }
 
@@ -161,11 +163,12 @@ func (s *Sensor) deliver(ctx node.Context, origin node.ID, seq uint32, innerByte
 		}
 		aad := s.innerAAD(in.Src)
 		ctx.ChargeMAC(len(in.Sealed) + len(aad))
-		pt, ok := ctx.Scratch().AppendOpen(s.sealerFor(ctx, ki), s.innerOpenBuf[:0], in.Counter, aad, in.Sealed)
+		sc := ctx.Scratch()
+		pt, ok := sc.AppendOpen(s.sealerFor(ctx, ki), sc.InnerOpenBuf[:0], in.Counter, aad, in.Sealed)
 		if !ok {
 			return
 		}
-		s.innerOpenBuf = pt
+		sc.InnerOpenBuf = pt
 		ctx.ChargeCipher(len(pt))
 		// Origin must match the key that authenticated the envelope.
 		if in.Src != origin {
@@ -264,15 +267,16 @@ func (s *Sensor) flushBatch(ctx node.Context) {
 	if len(s.batchQ) == 0 {
 		return
 	}
-	s.batchReadings = s.batchReadings[:0]
+	sc := ctx.Scratch()
+	sc.TxReadings = sc.TxReadings[:0]
 	for _, e := range s.batchQ {
-		s.batchReadings = append(s.batchReadings, wire.Reading{
+		sc.TxReadings = append(sc.TxReadings, wire.Reading{
 			Origin: e.origin,
 			Seq:    e.seq,
 			Inner:  s.batchBuf[e.off : e.off+e.n],
 		})
 	}
-	s.sealData(ctx, s.batchReadings)
+	s.sealData(ctx, sc.TxReadings)
 	s.dropBatchQueue()
 }
 
@@ -293,8 +297,9 @@ func (s *Sensor) sealData(ctx node.Context, readings []wire.Reading) {
 		Hop:      s.hop,
 		Readings: readings,
 	}
-	s.bodyBuf = d.AppendMarshal(s.bodyBuf[:0])
-	ctx.Broadcast(s.sealFrame(ctx, wire.TData, s.ks.CID, s.ks.ClusterKey, s.bodyBuf))
+	sc := ctx.Scratch()
+	sc.BodyBuf = d.AppendMarshal(sc.BodyBuf[:0])
+	ctx.Broadcast(s.sealFrame(ctx, wire.TData, s.ks.CID, s.ks.ClusterKey, sc.BodyBuf))
 }
 
 // dropBatchQueue discards queued-but-unflushed readings (eviction from
@@ -315,12 +320,12 @@ func (s *Sensor) onData(ctx node.Context, f *wire.Frame) {
 	if !ok {
 		return // not a neighboring cluster, or forged: drop
 	}
-	// Decoded in place: the Inner slices alias the open scratch, which
-	// stays untouched for the rest of this handler (everything that
-	// outlives the callback — the queue slab, pending-retry copies,
-	// arena-backed deliveries, the per-receiver radio copy — copies out
-	// of it).
-	d := &s.rxData
+	// Decoded in place into the host scratch: the Inner slices alias
+	// OpenBuf, which stays untouched for the rest of this handler
+	// (everything that outlives the callback — the queue slab,
+	// pending-retry copies, arena-backed deliveries, the radio's packet
+	// copy — copies out of it).
+	d := &ctx.Scratch().RxData
 	if err := wire.UnmarshalDataInto(d, body); err != nil {
 		return
 	}
@@ -341,15 +346,8 @@ func (s *Sensor) onData(ctx node.Context, f *wire.Frame) {
 	// at hop 0 — means the message progressed toward the sink. This must
 	// run before duplicate suppression, because the sender remembered the
 	// pair when it transmitted.
-	if len(s.pendingAcks) > 0 && d.Hop < s.hop {
-		for i := range d.Readings {
-			k := dedupKey{d.Readings[i].Origin, d.Readings[i].Seq}
-			if p, ok := s.pendingAcks[k]; ok {
-				delete(s.pendingAcks, k)
-				s.freePending = append(s.freePending, p)
-				s.degraded = false
-			}
-		}
+	if len(s.pending) > 0 && d.Hop < s.hop {
+		s.ackPending(d.Readings)
 	}
 	// Gradient rule: forward only if the previous hop was farther from
 	// the base station than we are (unless flooding is configured). A
@@ -378,10 +376,83 @@ func (s *Sensor) onData(ctx node.Context, f *wire.Frame) {
 // --- ack-gated forwarding retries (Config.DataRetries > 0) ---
 
 // pendingSend is one transmitted reading awaiting its implicit ack.
+//
+// Sensor.pending is a slab of these kept sorted by key, so a lookup is a
+// binary search over one contiguous array and the retry tick walks the
+// entries in key order without sorting. An entry that leaves (ack,
+// give-up) moves to the slab's spare capacity past len with its inner
+// buffer, and the next insertion takes that buffer back, so steady-state
+// tracking allocates nothing. A node has a handful of readings in
+// flight (a mean of 11 and a maximum of 128 on perfbench soak-batch), so
+// the shifts of an insertion or removal in the middle cost less than a
+// map's hashing and pointer-chasing.
 type pendingSend struct {
-	inner    []byte
+	key      dedupKey
 	attempts int
 	nextAt   time.Duration
+	inner    []byte
+}
+
+// pendingIdx binary-searches s.pending for k, returning the insertion
+// point and whether the entry exists.
+func (s *Sensor) pendingIdx(k dedupKey) (int, bool) {
+	lo, hi := 0, len(s.pending)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.pending[mid].key.u64() < k.u64() {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(s.pending) && s.pending[lo].key == k
+}
+
+// insertPending opens slot i of the slab, shifting the later entries up,
+// and returns it empty but for a retired inner buffer to reuse. The
+// pointer is valid until the next insertion or removal.
+func (s *Sensor) insertPending(i int) *pendingSend {
+	n := len(s.pending)
+	if n < cap(s.pending) {
+		s.pending = s.pending[:n+1]
+	} else {
+		s.pending = append(s.pending, pendingSend{})
+	}
+	spare := s.pending[n].inner
+	copy(s.pending[i+1:], s.pending[i:n])
+	s.pending[i] = pendingSend{inner: spare[:0]}
+	return &s.pending[i]
+}
+
+// removePending retires entry i: the later entries shift down and its
+// inner buffer parks in the slot just past the new end.
+func (s *Sensor) removePending(i int) {
+	n := len(s.pending) - 1
+	spare := s.pending[i].inner
+	copy(s.pending[i:], s.pending[i+1:])
+	s.pending[n] = pendingSend{inner: spare}
+	s.pending = s.pending[:n]
+}
+
+// ackPending is the implicit acknowledgement of every pending reading
+// among readings: it retires those entries and clears the degraded flag
+// if any was found.
+func (s *Sensor) ackPending(readings []wire.Reading) {
+	for i := range readings {
+		if j, ok := s.pendingIdx(dedupKey{readings[i].Origin, readings[i].Seq}); ok {
+			s.removePending(j)
+			s.degraded = false
+		}
+	}
+}
+
+// retirePending drops every pending reading and forgets the tracked
+// retry fire (eviction and handoff): a stale tagDataRetry tick finds
+// nothing to retransmit, and the next trackPending after a re-admission
+// arms a fresh timer rather than lean on one that may have passed.
+func (s *Sensor) retirePending() {
+	s.pending = s.pending[:0]
+	s.retryTimerAt = 0
 }
 
 // trackPending registers a transmission for ack-gated retry. No-op on the
@@ -392,25 +463,18 @@ func (s *Sensor) trackPending(ctx node.Context, inner []byte, origin node.ID, se
 		return
 	}
 	k := dedupKey{origin, seq}
-	if _, ok := s.pendingAcks[k]; ok {
+	i, ok := s.pendingIdx(k)
+	if ok {
 		return
-	}
-	if s.pendingAcks == nil {
-		s.pendingAcks = make(map[dedupKey]*pendingSend)
 	}
 	d := s.dataBackoff(ctx, 0)
 	at := ctx.Now() + d
-	if len(s.pendingAcks) == 0 || at < s.retryMinAt {
+	if len(s.pending) == 0 || at < s.retryMinAt {
 		s.retryMinAt = at
 	}
-	var p *pendingSend
-	if n := len(s.freePending); n > 0 {
-		p, s.freePending = s.freePending[n-1], s.freePending[:n-1]
-	} else {
-		p = new(pendingSend)
-	}
-	*p = pendingSend{inner: append(p.inner[:0], inner...), nextAt: at}
-	s.pendingAcks[k] = p
+	p := s.insertPending(i)
+	p.key, p.nextAt = k, at
+	p.inner = append(p.inner, inner...)
 	// One armed timer covers the whole queue: arm only when this entry
 	// comes due before the earliest outstanding fire (or none is armed).
 	// Under sustained traffic most entries are implicitly acked before
@@ -431,8 +495,8 @@ func (s *Sensor) dataBackoff(ctx node.Context, attempt int) time.Duration {
 
 // dataRetryTick retransmits every due pending send, exhausting each
 // entry's budget before giving up and raising the degraded flag. Entries
-// are scanned in sorted key order so map iteration order never leaks into
-// random draws or broadcast order.
+// are handled in key order, so random draws and broadcast order depend
+// only on what is pending.
 func (s *Sensor) dataRetryTick(ctx node.Context) {
 	now := ctx.Now()
 	if s.retryTimerAt != 0 && now >= s.retryTimerAt {
@@ -441,7 +505,7 @@ func (s *Sensor) dataRetryTick(ctx node.Context) {
 		// spurious when it arrives.
 		s.retryTimerAt = 0
 	}
-	if s.phase != PhaseOperational || !s.ks.InCluster || len(s.pendingAcks) == 0 {
+	if s.phase != PhaseOperational || !s.ks.InCluster || len(s.pending) == 0 {
 		return
 	}
 	// Fast path for spurious fires (the earliest-due entry was acked
@@ -451,34 +515,24 @@ func (s *Sensor) dataRetryTick(ctx node.Context) {
 		s.ensureRetryTimer(ctx, now)
 		return
 	}
-	// Single pass: pick out the due subset (usually a handful even when
-	// thousands of sends are in flight) and track the earliest deadline
-	// among the rest, so neither the sort nor a second sweep touches the
-	// whole queue. Only the due keys are sorted — processing them in key
-	// order keeps random draws and broadcast order independent of map
-	// iteration, exactly as a full sorted scan would.
-	due := s.retryDue[:0]
+	// One pass in key order: handle each due entry where it stands and
+	// track the earliest deadline among the rest. Nothing a retransmission
+	// does touches the slab, so the order of the due entries is the key
+	// order of the whole due set.
 	min := time.Duration(1<<63 - 1)
-	for k, p := range s.pendingAcks {
-		if p.nextAt <= now {
-			due = append(due, k)
-		} else if p.nextAt < min {
-			min = p.nextAt
+	for i := 0; i < len(s.pending); {
+		p := &s.pending[i]
+		if p.nextAt > now {
+			if p.nextAt < min {
+				min = p.nextAt
+			}
+			i++
+			continue
 		}
-	}
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].origin != due[j].origin {
-			return due[i].origin < due[j].origin
-		}
-		return due[i].seq < due[j].seq
-	})
-	for _, k := range due {
-		p := s.pendingAcks[k]
 		if p.attempts >= s.cfg.DataRetries {
 			// Budget exhausted with no ack: give up on this reading and
 			// flag degraded operation (cleared by the next ack heard).
-			delete(s.pendingAcks, k)
-			s.freePending = append(s.freePending, p)
+			s.removePending(i)
 			s.degraded = true
 			s.om.degraded.Inc()
 			s.cfg.Obs.Emit(now, obs.KindDegraded, int(s.id), s.ks.CID, "")
@@ -487,14 +541,14 @@ func (s *Sensor) dataRetryTick(ctx node.Context) {
 		p.attempts++
 		s.om.dataRetx.Inc()
 		s.cfg.Obs.Emit(now, obs.KindRetransmit, int(s.id), s.ks.CID, "data")
-		s.sendOne(ctx, p.inner, k.origin, k.seq)
+		s.sendOne(ctx, p.inner, p.key.origin, p.key.seq)
 		p.nextAt = now + s.dataBackoff(ctx, p.attempts)
 		if p.nextAt < min {
 			min = p.nextAt
 		}
+		i++
 	}
-	s.retryDue = due[:0]
-	if len(s.pendingAcks) > 0 {
+	if len(s.pending) > 0 {
 		s.retryMinAt = min
 		s.ensureRetryTimer(ctx, now)
 	}
@@ -502,7 +556,7 @@ func (s *Sensor) dataRetryTick(ctx node.Context) {
 
 // ensureRetryTimer arms a tagDataRetry fire at retryMinAt unless the
 // tracked outstanding timer already fires at or before it. Called only
-// while pendingAcks is non-empty, so retryMinAt is meaningful.
+// while pending is non-empty, so retryMinAt is meaningful.
 func (s *Sensor) ensureRetryTimer(ctx node.Context, now time.Duration) {
 	if s.retryTimerAt != 0 && s.retryTimerAt <= s.retryMinAt {
 		return

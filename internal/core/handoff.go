@@ -54,8 +54,7 @@ func (s *Sensor) leaveCluster() {
 	}
 	s.headID = 0
 	s.repairing = false
-	clear(s.pendingAcks)
-	s.retryTimerAt = 0
+	s.retirePending()
 	s.dropBatchQueue()
 }
 

@@ -64,8 +64,9 @@ func (s *Sensor) StartClusterRefresh(ctx node.Context) bool {
 	newKey := crypt.DeriveKey(oldKey, crypt.LabelRefresh, nonce[:])
 	epoch := s.epochOf(s.ks.CID) + 1
 
-	s.bodyBuf = (&wire.Refresh{CID: s.ks.CID, Epoch: epoch, NewKey: newKey}).AppendMarshal(s.bodyBuf[:0])
-	pkt := s.sealFrame(ctx, wire.TRefresh, s.ks.CID, oldKey, s.bodyBuf)
+	sc := ctx.Scratch()
+	sc.BodyBuf = (&wire.Refresh{CID: s.ks.CID, Epoch: epoch, NewKey: newKey}).AppendMarshal(sc.BodyBuf[:0])
+	pkt := s.sealFrame(ctx, wire.TRefresh, s.ks.CID, oldKey, sc.BodyBuf)
 	s.applyRefresh(s.ks.CID, epoch, newKey)
 	ctx.Broadcast(pkt)
 	return true
@@ -133,12 +134,13 @@ func (s *Sensor) RevokeClusters(ctx node.Context, cids []uint32) bool {
 		return false
 	}
 	s.bs.nextChain = idx
-	s.bodyBuf = (&wire.Revoke{Index: uint32(idx), ChainKey: chainKey, CIDs: cids}).AppendMarshal(s.bodyBuf[:0])
-	pkt, merr := (&wire.Frame{Type: wire.TRevoke, Payload: s.bodyBuf}).AppendMarshal(s.txBuf[:0])
+	sc := ctx.Scratch()
+	sc.BodyBuf = (&wire.Revoke{Index: uint32(idx), ChainKey: chainKey, CIDs: cids}).AppendMarshal(sc.BodyBuf[:0])
+	pkt, merr := (&wire.Frame{Type: wire.TRevoke, Payload: sc.BodyBuf}).AppendMarshal(sc.TxBuf[:0])
 	if merr != nil {
 		return false
 	}
-	s.txBuf = pkt
+	sc.TxBuf = pkt
 	// The base station applies its own command: it stops accepting
 	// traffic relayed under revoked clusters' keys.
 	for _, cid := range cids {
@@ -183,11 +185,7 @@ func (s *Sensor) onRevoke(ctx node.Context, f *wire.Frame, pkt []byte) {
 		// key state the revoked node has left, exactly what the eviction
 		// was meant to stop (the tick-side phase guards are the second
 		// line of defense; see TestRevokedSensorAbandonsPendingRetries).
-		clear(s.pendingAcks)
-		// Forget the tracked retry fire too: the next trackPending after a
-		// (hypothetical) re-admission must arm a fresh timer rather than
-		// lean on one that may have already passed.
-		s.retryTimerAt = 0
+		s.retirePending()
 		s.dropBatchQueue()
 	}
 	// Re-flood so the command crosses the network even though revoked
@@ -209,12 +207,13 @@ func (s *Sensor) Evicted() bool {
 func (s *Sensor) startJoin(ctx node.Context) {
 	s.phase = PhaseJoining
 	s.joinAttempts++
-	s.bodyBuf = (&wire.JoinReq{NodeID: uint32(s.id)}).AppendMarshal(s.bodyBuf[:0])
-	pkt, err := (&wire.Frame{Type: wire.TJoinReq, Payload: s.bodyBuf}).AppendMarshal(s.txBuf[:0])
+	sc := ctx.Scratch()
+	sc.BodyBuf = (&wire.JoinReq{NodeID: uint32(s.id)}).AppendMarshal(sc.BodyBuf[:0])
+	pkt, err := (&wire.Frame{Type: wire.TJoinReq, Payload: sc.BodyBuf}).AppendMarshal(sc.TxBuf[:0])
 	if err != nil {
 		return
 	}
-	s.txBuf = pkt
+	sc.TxBuf = pkt
 	ctx.Broadcast(pkt)
 	window := joinWindow
 	if s.cfg.SetupRetries > 0 && s.joinAttempts > 1 {
@@ -259,12 +258,13 @@ func (s *Sensor) sendJoinResp(ctx node.Context) {
 	epoch := s.epochOf(s.ks.CID)
 	tag := joinRespTag(s.ks.ClusterKey, s.ks.CID, epoch)
 	ctx.ChargeMAC(8)
-	s.bodyBuf = (&wire.JoinResp{CID: s.ks.CID, Epoch: epoch, Tag: tag}).AppendMarshal(s.bodyBuf[:0])
-	pkt, err := (&wire.Frame{Type: wire.TJoinResp, Payload: s.bodyBuf}).AppendMarshal(s.txBuf[:0])
+	sc := ctx.Scratch()
+	sc.BodyBuf = (&wire.JoinResp{CID: s.ks.CID, Epoch: epoch, Tag: tag}).AppendMarshal(sc.BodyBuf[:0])
+	pkt, err := (&wire.Frame{Type: wire.TJoinResp, Payload: sc.BodyBuf}).AppendMarshal(sc.TxBuf[:0])
 	if err != nil {
 		return
 	}
-	s.txBuf = pkt
+	sc.TxBuf = pkt
 	ctx.Broadcast(pkt)
 }
 

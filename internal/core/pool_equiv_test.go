@@ -13,8 +13,9 @@ import (
 // sources, a cluster-key refresh, a revocation, more readings under the
 // rotated keys — and snapshots everything the experiment layer can observe.
 // This exercises every pooled hot path in one run: the engine's event and
-// packet recycling, the sensors' seal/marshal scratch buffers, and the BS's
-// AppendOpen of inner envelopes.
+// packet recycling, the host scratch's seal/marshal buffers (which the
+// poisoned engine junks after every callback), and the BS's AppendOpen of
+// inner envelopes.
 func protocolRun(t *testing.T, mutate func(*DeployOptions)) (deliveries []Delivery, energy EnergyReport, clusters ClusterStats) {
 	t.Helper()
 	opt := DeployOptions{N: 60, Density: 10, Seed: 97, Loss: 0.05}

@@ -41,12 +41,13 @@ func (s *Sensor) keepAliveTick(ctx node.Context) {
 		return
 	}
 	if s.headID == s.id {
-		s.bodyBuf = (&wire.KeepAlive{
+		sc := ctx.Scratch()
+		sc.BodyBuf = (&wire.KeepAlive{
 			CID:    s.ks.CID,
 			HeadID: uint32(s.id),
 			Epoch:  s.epochOf(s.ks.CID),
-		}).AppendMarshal(s.bodyBuf[:0])
-		ctx.Broadcast(s.sealFrame(ctx, wire.TKeepAlive, s.ks.CID, s.ks.ClusterKey, s.bodyBuf))
+		}).AppendMarshal(sc.BodyBuf[:0])
+		ctx.Broadcast(s.sealFrame(ctx, wire.TKeepAlive, s.ks.CID, s.ks.ClusterKey, sc.BodyBuf))
 	} else if !s.repairing {
 		silent := ctx.Now() - s.lastKeepAlive
 		if silent > KeepAliveMisses*s.cfg.KeepAlivePeriod {
@@ -88,12 +89,13 @@ func (s *Sensor) claimHeadship(ctx node.Context) {
 	s.repairing = false
 	s.headID = s.id
 	s.repaired = true
-	s.bodyBuf = (&wire.Repair{
+	sc := ctx.Scratch()
+	sc.BodyBuf = (&wire.Repair{
 		CID:     s.ks.CID,
 		NewHead: uint32(s.id),
 		Epoch:   s.epochOf(s.ks.CID),
-	}).AppendMarshal(s.bodyBuf[:0])
-	ctx.Broadcast(s.sealFrame(ctx, wire.TRepair, s.ks.CID, s.ks.ClusterKey, s.bodyBuf))
+	}).AppendMarshal(sc.BodyBuf[:0])
+	ctx.Broadcast(s.sealFrame(ctx, wire.TRepair, s.ks.CID, s.ks.ClusterKey, sc.BodyBuf))
 	s.om.repairs.Inc()
 	s.om.repairTime.Observe((ctx.Now() - s.repairStartAt).Seconds())
 	s.cfg.Obs.Emit(ctx.Now(), obs.KindRepair, int(s.id), s.ks.CID, "")
@@ -187,9 +189,9 @@ func (s *Sensor) helloRetry(ctx node.Context) {
 		return // past T1 every node is decided; a retry would be noise
 	}
 	s.helloRetries++
-	s.bodyBuf = (&wire.Hello{HeadID: uint32(s.id), ClusterKey: s.ks.ClusterKey}).AppendMarshal(s.bodyBuf[:0])
-	body := s.bodyBuf
-	ctx.Broadcast(s.sealFrame(ctx, wire.THello, 0, s.ks.Master, body))
+	sc := ctx.Scratch()
+	sc.BodyBuf = (&wire.Hello{HeadID: uint32(s.id), ClusterKey: s.ks.ClusterKey}).AppendMarshal(sc.BodyBuf[:0])
+	ctx.Broadcast(s.sealFrame(ctx, wire.THello, 0, s.ks.Master, sc.BodyBuf))
 	s.om.setupTx.Inc()
 	s.om.setupRetx.Inc()
 	s.cfg.Obs.Emit(ctx.Now(), obs.KindRetransmit, int(s.id), uint32(s.id), "hello")
@@ -212,9 +214,9 @@ func (s *Sensor) linkRetry(ctx node.Context) {
 		return
 	}
 	s.linkRetries++
-	s.bodyBuf = (&wire.LinkAdvert{CID: s.ks.CID, ClusterKey: s.ks.ClusterKey}).AppendMarshal(s.bodyBuf[:0])
-	body := s.bodyBuf
-	ctx.Broadcast(s.sealFrame(ctx, wire.TLinkAdvert, 0, s.ks.Master, body))
+	sc := ctx.Scratch()
+	sc.BodyBuf = (&wire.LinkAdvert{CID: s.ks.CID, ClusterKey: s.ks.ClusterKey}).AppendMarshal(sc.BodyBuf[:0])
+	ctx.Broadcast(s.sealFrame(ctx, wire.TLinkAdvert, 0, s.ks.Master, sc.BodyBuf))
 	s.om.setupTx.Inc()
 	s.om.setupRetx.Inc()
 	s.cfg.Obs.Emit(ctx.Now(), obs.KindRetransmit, int(s.id), s.ks.CID, "link")
@@ -231,7 +233,7 @@ func (s *Sensor) linkRetry(ctx node.Context) {
 // erasure is irreversible by design, and repair elections work without it.
 func (s *Sensor) Reboot(ctx node.Context) {
 	// Volatile retry and election state died with the RAM.
-	s.pendingAcks = nil
+	s.pending = s.pending[:0]
 	s.pendingJoinResp = false
 	s.repairing = false
 	s.kaLoop = false

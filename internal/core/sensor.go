@@ -185,38 +185,29 @@ type Sensor struct {
 	linkRetries  int
 
 	// Ack-gated forwarding (active when cfg.DataRetries > 0).
-	// retryMinAt caches the earliest nextAt across pendingAcks so the
-	// retry tick can skip the sorted scan when nothing is due yet — the
-	// common case, since implicit acks delete entries but their armed
-	// timers still fire. Only meaningful while pendingAcks is non-empty,
-	// and allowed to go stale-low when the earliest entry is acked (the
-	// next tick then does one wasted scan and re-tightens it).
-	pendingAcks map[dedupKey]*pendingSend
-	// freePending holds entries acked or given up, with their inner
-	// buffers, for trackPending to reuse.
-	freePending []*pendingSend
-	retryMinAt  time.Duration
+	// pending holds the transmitted readings awaiting an implicit ack,
+	// sorted by key; see pendingSend. retryMinAt caches the earliest
+	// nextAt across pending so the retry tick can skip the scan when
+	// nothing is due yet — the common case, since implicit acks delete
+	// entries but their armed timers still fire. Only meaningful while
+	// pending is non-empty, and allowed to go stale-low when the
+	// earliest entry is acked (the next tick then does one wasted scan
+	// and re-tightens it).
+	pending    []pendingSend
+	retryMinAt time.Duration
 	// retryTimerAt is the deadline of the earliest outstanding
 	// tagDataRetry fire, or 0 when none is tracked (backoffs are always
 	// positive, so 0 is never a real deadline). Later forgotten fires
 	// may still be outstanding; they arrive as spurious ticks.
 	retryTimerAt time.Duration
-	// retryDue is scratch for the due-subset sort in dataRetryTick.
-	retryDue []dedupKey
-	degraded bool
+	degraded     bool
 
 	// DATA-frame queue. Queued readings live as (origin, seq, offset)
-	// entries over one slab so steady-state sending allocates nothing;
-	// batchReadings is the flush-time view handed to the Data
-	// marshaler. With cfg.BatchSize <= 1 the queue empties on every
-	// enqueue.
-	batchQ        []batchEntry
-	batchBuf      []byte
-	batchReadings []wire.Reading
-	batchArmed    bool
-	// rxData is decode scratch for incoming DATA frames; its Inner
-	// slices alias openBuf, so it is only valid inside onData.
-	rxData wire.Data
+	// entries over one slab so steady-state sending allocates nothing.
+	// With cfg.BatchSize <= 1 the queue empties on every enqueue.
+	batchQ     []batchEntry
+	batchBuf   []byte
+	batchArmed bool
 
 	// Mobility handoff state (active when cfg.HandoffEnabled; see
 	// docs/MOBILITY.md). mobile marks a node provisioned with both Km
@@ -280,20 +271,15 @@ type Sensor struct {
 	sealers map[crypt.Key]*crypt.KeyState
 	ring    *crypt.Keyring // set at the first acquire; a node never changes host
 
-	// Transmit-path scratch. Every buffer is consumed before the call
-	// that filled it returns control to the radio (Broadcast copies
-	// per-receiver before returning in both runtimes), so reuse across
-	// packets is invisible on the air. A sealFrame result is valid only
-	// until the next sealFrame on this sensor; openFrame results only
-	// until the next openFrame.
-	aadBuf       [5]byte // FrameAAD / InnerAAD scratch
-	sealBuf      []byte  // sealed frame payload
-	txBuf        []byte  // marshaled outgoing frame
-	bodyBuf      []byte  // marshaled outgoing body
-	innerBuf     []byte  // marshaled Step-1 Inner envelope
-	innerSealBuf []byte  // Step-1 sealed reading
-	openBuf      []byte  // opened (decrypted) frame body
-	innerOpenBuf []byte  // BS-side opened Step-1 plaintext (copied to the arena)
+	// aadBuf is FrameAAD / InnerAAD scratch. Every other buffer a frame
+	// is marshaled, sealed, opened or decoded into is the host's
+	// (ctx.Scratch, a node.Scratch shared by every node of the host's
+	// goroutine), valid only inside the callback that fetched it. Each
+	// is consumed before the callback returns (Broadcast copies the
+	// packet before returning in every runtime), and whatever outlives
+	// the callback (the batch queue, pending-retry copies, arena-backed
+	// deliveries) is copied out of it.
+	aadBuf [5]byte
 
 	bs *bsState
 }
@@ -703,36 +689,40 @@ func (s *Sensor) nextNonce() uint64 {
 }
 
 // sealFrame seals body under key and returns the marshaled frame. The
-// returned packet is scratch-backed: valid until the next sealFrame on
-// this sensor, so it must be broadcast (the radio copies per receiver
-// before returning) or copied before another frame is sealed.
+// returned packet is host scratch (TxBuf): valid until the next
+// sealFrame in this callback, so it must be broadcast (the radio copies
+// it before returning) or copied before another frame is sealed. body
+// may be the scratch's BodyBuf.
 func (s *Sensor) sealFrame(ctx node.Context, typ wire.Type, cid uint32, key crypt.Key, body []byte) []byte {
+	sc := ctx.Scratch()
 	nonce := s.nextNonce()
 	aad := s.frameAAD(typ, cid)
-	s.sealBuf = ctx.Scratch().AppendSeal(s.sealerFor(ctx, key), s.sealBuf[:0], nonce, aad, body)
+	sc.SealBuf = sc.AppendSeal(s.sealerFor(ctx, key), sc.SealBuf[:0], nonce, aad, body)
 	ctx.ChargeCipher(len(body))
 	ctx.ChargeMAC(len(body) + len(aad))
-	pkt, err := (&wire.Frame{Type: typ, CID: cid, Nonce: nonce, Payload: s.sealBuf}).AppendMarshal(s.txBuf[:0])
+	pkt, err := (&wire.Frame{Type: typ, CID: cid, Nonce: nonce, Payload: sc.SealBuf}).AppendMarshal(sc.TxBuf[:0])
 	if err != nil {
 		// Bodies are tiny and bounded; this cannot happen.
 		panic("core: frame marshal: " + err.Error())
 	}
-	s.txBuf = pkt
+	sc.TxBuf = pkt
 	return pkt
 }
 
 // openFrame verifies and decrypts a received frame under key. The
-// returned body is scratch-backed: valid until the next openFrame on
-// this sensor. Handlers never keep it — wire's body unmarshalers copy
-// every byte string they decode.
+// returned body is host scratch (OpenBuf): valid until the next
+// openFrame in this callback. Handlers never keep it — wire's body
+// unmarshalers copy every byte string they decode, except
+// UnmarshalDataInto, whose result onData uses in place.
 func (s *Sensor) openFrame(ctx node.Context, f *wire.Frame, key crypt.Key) ([]byte, bool) {
+	sc := ctx.Scratch()
 	aad := s.frameAAD(f.Type, f.CID)
 	ctx.ChargeMAC(len(f.Payload) + len(aad))
-	body, ok := ctx.Scratch().AppendOpen(s.sealerFor(ctx, key), s.openBuf[:0], f.Nonce, aad, f.Payload)
+	body, ok := sc.AppendOpen(s.sealerFor(ctx, key), sc.OpenBuf[:0], f.Nonce, aad, f.Payload)
 	if !ok {
 		return nil, false
 	}
-	s.openBuf = body
+	sc.OpenBuf = body
 	ctx.ChargeCipher(len(body))
 	return body, true
 }
@@ -751,8 +741,9 @@ func (s *Sensor) becomeHead(ctx node.Context) {
 	s.setEpoch(uint32(s.id), 0)
 	s.headID = s.id
 	s.phase = PhaseDecided
-	s.bodyBuf = (&wire.Hello{HeadID: uint32(s.id), ClusterKey: s.ks.ClusterKey}).AppendMarshal(s.bodyBuf[:0])
-	ctx.Broadcast(s.sealFrame(ctx, wire.THello, 0, s.ks.Master, s.bodyBuf))
+	sc := ctx.Scratch()
+	sc.BodyBuf = (&wire.Hello{HeadID: uint32(s.id), ClusterKey: s.ks.ClusterKey}).AppendMarshal(sc.BodyBuf[:0])
+	ctx.Broadcast(s.sealFrame(ctx, wire.THello, 0, s.ks.Master, sc.BodyBuf))
 	s.om.elections.Inc()
 	s.om.setupTx.Inc()
 	s.cfg.Obs.Emit(ctx.Now(), obs.KindElection, int(s.id), uint32(s.id), "")
@@ -787,8 +778,9 @@ func (s *Sensor) sendLinkAdvert(ctx node.Context) {
 	if !s.ks.InCluster || s.ks.Master.IsZero() {
 		return
 	}
-	s.bodyBuf = (&wire.LinkAdvert{CID: s.ks.CID, ClusterKey: s.ks.ClusterKey}).AppendMarshal(s.bodyBuf[:0])
-	ctx.Broadcast(s.sealFrame(ctx, wire.TLinkAdvert, 0, s.ks.Master, s.bodyBuf))
+	sc := ctx.Scratch()
+	sc.BodyBuf = (&wire.LinkAdvert{CID: s.ks.CID, ClusterKey: s.ks.ClusterKey}).AppendMarshal(sc.BodyBuf[:0])
+	ctx.Broadcast(s.sealFrame(ctx, wire.TLinkAdvert, 0, s.ks.Master, sc.BodyBuf))
 	s.om.setupTx.Inc()
 	s.armLinkRetry(ctx)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/crypt"
 	"repro/internal/node"
@@ -144,7 +145,7 @@ func TestRefreshModeString(t *testing.T) {
 type stubContext struct {
 	sent [][]byte
 	keys *crypt.Keyring
-	sc   crypt.Scratch
+	sc   node.Scratch
 }
 
 func (c *stubContext) ID() node.ID                                   { return 7 }
@@ -156,7 +157,7 @@ func (c *stubContext) Rand() *xrand.RNG                              { return xr
 func (c *stubContext) ChargeCipher(int)                              {}
 func (c *stubContext) ChargeMAC(int)                                 {}
 func (c *stubContext) Die()                                          {}
-func (c *stubContext) Scratch() *crypt.Scratch                       { return &c.sc }
+func (c *stubContext) Scratch() *node.Scratch                        { return &c.sc }
 func (c *stubContext) Keyring() *crypt.Keyring {
 	if c.keys == nil {
 		c.keys = crypt.NewKeyring()
@@ -195,4 +196,15 @@ func BenchmarkEndToEndReading(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(d.Deliveries()))/float64(b.N), "delivery-ratio")
+}
+
+// TestSensorSize pins the per-node struct below the 768-B allocation
+// size class (docs/SCALING.md, "Per-node memory"): callback-scoped
+// buffers belong to the host's node.Scratch, not to each sensor.
+func TestSensorSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Sensor{}); sz > 768 {
+		t.Fatalf("unsafe.Sizeof(Sensor{}) = %d B; want at most 768", sz)
+	} else {
+		t.Logf("unsafe.Sizeof(Sensor{}) = %d B", sz)
+	}
 }

@@ -147,9 +147,10 @@ type lhost struct {
 	rng     *xrand.RNG
 	meter   energy.Meter
 	meterMu sync.Mutex // meter is read by Meter() while the node runs
-	// scratch is the node's own sealer scratch: each node runs on its
-	// own goroutine, so there is no one to share a memo table with.
-	scratch crypt.Scratch
+	// scratch is the node's own working memory: each node runs on its
+	// own goroutine, so there is no one to share it or a memo table
+	// with.
+	scratch node.Scratch
 
 	timers  timerHeap
 	nextTID node.TimerID
@@ -661,7 +662,7 @@ func (h *lhost) ChargeMAC(n int) {
 func (h *lhost) Keyring() *crypt.Keyring { return h.net.keys }
 
 // Scratch implements node.Context: the node's own zero-value scratch.
-func (h *lhost) Scratch() *crypt.Scratch { return &h.scratch }
+func (h *lhost) Scratch() *node.Scratch { return &h.scratch }
 
 // Die implements node.Context.
 func (h *lhost) Die() { h.alive.Store(false) }

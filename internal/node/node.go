@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/crypt"
+	"repro/internal/wire"
 	"repro/internal/xrand"
 )
 
@@ -62,15 +63,53 @@ type Context interface {
 	// gets the same ring, so nodes holding the same key share one
 	// derivation of it.
 	Keyring() *crypt.Keyring
-	// Scratch returns the sealer scratch the host shares among the
-	// behaviors it runs on the calling goroutine. A behavior uses it
-	// only inside the callback that fetched it. A host that runs many
-	// behaviors on one goroutine hands out a crypt.NewSharedScratch, so
-	// a broadcast its nodes all open is verified once.
-	Scratch() *crypt.Scratch
+	// Scratch returns the working memory the host shares among the
+	// behaviors it runs on the calling goroutine: the sealer scratch and
+	// the frame buffers. Its contents are valid only inside the callback
+	// that fetched it; the next callback, of this node or of any other
+	// node the host runs on that goroutine, overwrites them. A host that
+	// runs many behaviors on one goroutine hands out a NewSharedScratch,
+	// so a broadcast its nodes all open is verified once.
+	Scratch() *Scratch
 	// Die removes this node from the network (battery depletion or
 	// destruction). No further callbacks are delivered.
 	Die()
+}
+
+// Scratch is the callback-scoped working memory a host lends the
+// behaviors it runs on one goroutine. The embedded crypt.Scratch is the
+// mutable half of every seal and open (AppendSeal, AppendOpen); the
+// buffers are what a protocol marshals, seals and opens frames into.
+// Because one Scratch serves every node of its goroutine, the buffers
+// stay in cache however many nodes the host runs, and a node carries
+// none of its own.
+//
+// Everything in it is valid only inside the callback that fetched it.
+// A behavior that keeps bytes past its callback copies them out: the
+// runtimes copy a broadcast packet before Broadcast returns, and the
+// next callback on the same goroutine may overwrite every buffer.
+type Scratch struct {
+	crypt.Scratch
+
+	SealBuf      []byte // sealed frame payload
+	TxBuf        []byte // marshaled outgoing frame
+	BodyBuf      []byte // marshaled outgoing frame body
+	InnerBuf     []byte // marshaled end-to-end envelope of a reading
+	InnerSealBuf []byte // sealed reading inside that envelope
+	OpenBuf      []byte // opened (decrypted) frame body
+	InnerOpenBuf []byte // opened end-to-end plaintext
+	// TxReadings is the reading list of an outgoing DATA body.
+	TxReadings []wire.Reading
+	// RxData is the decoded incoming DATA body; its Inner slices alias
+	// OpenBuf.
+	RxData wire.Data
+}
+
+// NewSharedScratch returns a Scratch whose sealer half remembers the
+// frames it has verified (crypt.NewSharedScratch), for a host that runs
+// many behaviors on one goroutine.
+func NewSharedScratch() *Scratch {
+	return &Scratch{Scratch: *crypt.NewSharedScratch()}
 }
 
 // Behavior is a node's protocol state machine. Runtimes guarantee that the

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // runLog captures everything observable about a run: who delivered what to
@@ -224,5 +225,43 @@ func TestBroadcastDeliverAllocFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, cycle); avg > 0 {
 		t.Fatalf("steady-state broadcast-deliver cycle allocates %.1f times per run, want 0", avg)
+	}
+}
+
+// TestPoisonRecycledJunksScratch extends the vet test to the host
+// scratch: a behavior that keeps a scratch buffer or a decoded reading
+// past its callback finds junk there at its next callback with
+// PoisonRecycled set (or in a scratchpoison build), and its own bytes
+// without.
+func TestPoisonRecycledJunksScratch(t *testing.T) {
+	for _, poisoned := range []bool{false, true} {
+		var kept []byte
+		var keptReading wire.Reading
+		var seen []byte
+		var seenOrigin uint32
+		b := behaviorFuncs{
+			start: func(ctx node.Context) {
+				sc := ctx.Scratch()
+				sc.TxBuf = append(sc.TxBuf[:0], "frame"...)
+				sc.RxData.Readings = append(sc.RxData.Readings[:0], wire.Reading{Origin: 7, Seq: 1, Inner: sc.TxBuf})
+				kept, keptReading = sc.TxBuf, sc.RxData.Readings[0]
+				ctx.SetTimer(time.Millisecond, 1)
+			},
+			receive: func(node.Context, node.ID, []byte) {},
+			timer: func(ctx node.Context, _ node.Tag) {
+				seen = append([]byte(nil), kept...)
+				seenOrigin = ctx.Scratch().RxData.Readings[:1][0].Origin
+			},
+		}
+		eng := newEngine(t, lineGraph(1), []node.Behavior{b}, Config{PoisonRecycled: poisoned})
+		eng.Boot(0)
+		if _, err := eng.RunUntilIdle(100); err != nil {
+			t.Fatal(err)
+		}
+		junked := string(seen) == "\xdb\xdb\xdb\xdb\xdb" && seenOrigin != keptReading.Origin
+		if want := poisoned || scratchPoisonTag; junked != want {
+			t.Fatalf("PoisonRecycled %v: retained scratch reads %q, reading origin %#x; junked %v, want %v",
+				poisoned, seen, seenOrigin, junked, want)
+		}
 	}
 }

@@ -21,8 +21,8 @@ import (
 type sealNode struct {
 	st        *crypt.KeyState // held for the whole run, so it is one state
 	ticks     int
-	scratches map[*crypt.Scratch]bool // every scratch the host handed out
-	opened    []string                // plaintexts, in arrival order
+	scratches map[*node.Scratch]bool // every scratch the host handed out
+	opened    []string               // plaintexts, in arrival order
 	failed    int
 }
 
@@ -32,7 +32,7 @@ var (
 )
 
 // crypto returns the shared key's state and the host's scratch.
-func (s *sealNode) crypto(ctx node.Context) (*crypt.KeyState, *crypt.Scratch) {
+func (s *sealNode) crypto(ctx node.Context) (*crypt.KeyState, *node.Scratch) {
 	if s.st == nil {
 		s.st = ctx.Keyring().Acquire(sealKey)
 	}
@@ -77,7 +77,7 @@ func sealRun(t *testing.T, shards int, reg *obs.Registry) (*Engine, []*sealNode)
 	nodes := make([]*sealNode, g.N())
 	behaviors := make([]node.Behavior, g.N())
 	for i := range nodes {
-		nodes[i] = &sealNode{scratches: map[*crypt.Scratch]bool{}}
+		nodes[i] = &sealNode{scratches: map[*node.Scratch]bool{}}
 		behaviors[i] = nodes[i]
 	}
 	eng := newEngine(t, g, behaviors, Config{Shards: shards, Obs: reg.Scope("scratch", 0)})
@@ -100,7 +100,7 @@ func TestSharedScratchPerShard(t *testing.T) {
 	const shards = 4
 	reg := obs.NewRegistry()
 	eng, nodes := sealRun(t, shards, reg)
-	perShard := make([]*crypt.Scratch, shards)
+	perShard := make([]*node.Scratch, shards)
 	var hits, misses uint64
 	for i, n := range nodes {
 		if n.failed > 0 || len(n.opened) == 0 {

@@ -87,7 +87,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/crypt"
 	"repro/internal/faults"
 	"repro/internal/node"
 	"repro/internal/obs"
@@ -159,11 +158,13 @@ type shard struct {
 	free   evPool
 	freeTx []*txTrace
 	pkts   pktArena
-	// scratch is the sealer scratch this shard's behaviors share (nil
+	// scratch is the working memory this shard's behaviors share (nil
 	// until the first one asks; see host.Scratch). memoHits and
 	// memoMisses are its memo counts already added to the obs counters.
-	scratch              *crypt.Scratch
+	scratch              *node.Scratch
 	memoHits, memoMisses uint64
+	// poisonScratch junks scratch after every callback (poison.go).
+	poisonScratch bool
 	// one is the receiver list of a unicast (Engine.SendTo).
 	one [1]int32
 }
@@ -266,6 +267,7 @@ func newShard(e *Engine, id int) *shard {
 	s.free.disabled = e.cfg.DisablePooling
 	s.pkts.disabled = e.cfg.DisablePooling
 	s.pkts.poison = e.cfg.PoisonRecycled
+	s.poisonScratch = e.cfg.PoisonRecycled || scratchPoisonTag
 	if e.cfg.Faults != nil {
 		// Every replica splits the same faultStream label off the same
 		// root, so replicas are interchangeable: whichever shard
@@ -329,6 +331,9 @@ func (s *shard) runEpoch(limit time.Duration) {
 			s.dispatch(ev)
 		} else {
 			break
+		}
+		if s.poisonScratch {
+			s.junkScratch()
 		}
 		n++
 	}
@@ -702,6 +707,11 @@ func (e *Engine) run(until time.Duration, drainAll bool, maxEvents int) (int, er
 			for len(e.queue) > 0 && e.queue[0].at == gt {
 				ev := e.queue.pop()
 				ev.fn()
+				for _, s := range e.shards {
+					if s.poisonScratch {
+						s.junkScratch()
+					}
+				}
 				e.free.put(ev)
 				total++
 				e.m.events.Inc()

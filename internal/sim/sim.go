@@ -114,10 +114,12 @@ type Config struct {
 	// pooled runs against, and as a debugging escape hatch.
 	DisablePooling bool
 	// PoisonRecycled overwrites every recycled packet buffer with 0xDB
-	// before reuse. A behavior or trace hook that illegally retains a
-	// delivered packet past its callback observes the poison and
-	// diverges, turning silent use-after-recycle bugs into loud test
-	// failures. Ignored when DisablePooling is set.
+	// before reuse, and the host scratch (node.Scratch) after every
+	// callback. A behavior or trace hook that illegally retains a
+	// delivered packet or a scratch buffer past its callback observes
+	// the poison and diverges, turning silent use-after-recycle bugs
+	// into loud test failures. The packet poison is ignored when
+	// DisablePooling is set.
 	PoisonRecycled bool
 	// Shards is how many goroutines advance the run. Nodes are
 	// partitioned into Shards groups, each group's event heaps advance
@@ -831,9 +833,9 @@ func (h *host) Keyring() *crypt.Keyring { return h.eng.keys }
 // on first use. A shard's behaviors run on one goroutine at a time (its
 // worker, or the coordinator with every shard parked), so they can share
 // it.
-func (h *host) Scratch() *crypt.Scratch {
+func (h *host) Scratch() *node.Scratch {
 	if h.sh.scratch == nil {
-		h.sh.scratch = crypt.NewSharedScratch()
+		h.sh.scratch = node.NewSharedScratch()
 	}
 	return h.sh.scratch
 }

@@ -225,7 +225,7 @@ func (ln *labNode) Rand() *xrand.RNG            { return ln.ctx.Rand() }
 func (ln *labNode) ChargeCipher(n int)          { ln.ctx.ChargeCipher(n) }
 func (ln *labNode) ChargeMAC(n int)             { ln.ctx.ChargeMAC(n) }
 func (ln *labNode) Keyring() *crypt.Keyring     { return ln.ctx.Keyring() }
-func (ln *labNode) Scratch() *crypt.Scratch     { return ln.ctx.Scratch() }
+func (ln *labNode) Scratch() *node.Scratch      { return ln.ctx.Scratch() }
 func (ln *labNode) Die()                        { ln.ctx.Die() }
 func (ln *labNode) CancelTimer(id node.TimerID) { ln.ctx.CancelTimer(id) }
 func (ln *labNode) SetTimer(d time.Duration, tag node.Tag) node.TimerID {
